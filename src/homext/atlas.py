@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Container, Iterable, Iterator, TextIO
 
 from .engine import Verdict, classify_finite
 from .formats import to_graph6
@@ -101,20 +101,19 @@ def record_for(graph_id: str, g: FiniteGraph, provenance: dict | None = None) ->
     )
 
 
-def atlas_records(n_max: int) -> Iterator[AtlasRecord]:
+def atlas_records(n_max: int, *, skip_ids: Container[str] = ()) -> Iterator[AtlasRecord]:
+    """Records of the corpus up to ``n_max``; ids in ``skip_ids`` are never classified."""
     for graph_id, g in corpus_upto(n_max):
-        yield record_for(graph_id, g)
+        if graph_id not in skip_ids:
+            yield record_for(graph_id, g)
 
 
-def write_atlas(
-    records: Iterable[AtlasRecord], out: TextIO, *, skip_ids: set[str] | None = None
-) -> int:
-    """Stream records as JSONL after a schema header; returns records written."""
-    out.write(json.dumps({"schema": ATLAS_SCHEMA}, sort_keys=True) + "\n")
+def write_atlas(records: Iterable[AtlasRecord], out: TextIO, *, header: bool = True) -> int:
+    """Stream records as JSONL, after a schema header unless appending; returns records written."""
+    if header:
+        out.write(json.dumps({"schema": ATLAS_SCHEMA}, sort_keys=True) + "\n")
     written = 0
     for rec in records:
-        if skip_ids and rec.graph_id in skip_ids:
-            continue
         out.write(rec.to_json() + "\n")
         written += 1
     return written

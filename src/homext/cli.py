@@ -140,25 +140,15 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    skip: set[str] = set()
-    if args.resume and args.output and args.output.exists():
-        skip = existing_ids(args.output.read_text().splitlines())
-    records = atlas_records(args.max_n)
+    resume = args.resume and args.output and args.output.exists()
+    skip = existing_ids(args.output.read_text().splitlines()) if resume else set()
+    records = atlas_records(args.max_n, skip_ids=skip)
     if args.output:
-        mode = "a" if (args.resume and skip) else "w"
-        with open(args.output, mode) as out:
-            if mode == "a":
-                written = 0
-                for rec in records:
-                    if rec.graph_id in skip:
-                        continue
-                    out.write(rec.to_json() + "\n")
-                    written += 1
-            else:
-                written = write_atlas(records, out)
+        with open(args.output, "a" if skip else "w") as out:
+            written = write_atlas(records, out, header=not skip)
         print(f"wrote {written} records to {args.output}", file=sys.stderr)
     else:
-        write_atlas(records, sys.stdout, skip_ids=skip)
+        write_atlas(records, sys.stdout)
     return 0
 
 

@@ -4,10 +4,12 @@ A graph is XY-homogeneous when every local morphism of kind X extends to a
 total endomorphism of kind Y.  For finite graphs the decision is exact: all
 local morphisms are enumerated and extendability is settled by exhaustive
 backtracking, with results shared across the 18 (X, Y) pairs through one
-memoized analysis per graph.  For oracle graphs a back-and-forth schedule is
-driven inside a truncation; a negative verdict is definite only when the
-stuck step's candidate set is provably confined to a finite list by the
-generator's declared structure, otherwise the answer is UnknownAtBound.
+memoized analysis per graph.  For oracle graphs a back-and-forth schedule
+reads the bitset rows of one truncation, so a malformed (asymmetric or
+reflexive) oracle raises GraphError; the predicate is called again only for
+certificate candidates beyond the horizon.  A negative verdict is definite
+only when the stuck step's candidate set is provably confined to a finite
+list by the generator's declared structure, otherwise it is UnknownAtBound.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .graphs import FiniteGraph, GraphError, OracleGraph, connected_components, oracle_truncate
+from .graphs import FiniteGraph, GraphError, OracleGraph, _bits, connected_components
+from .graphs import induced_subgraph, oracle_truncate
 from .morphisms import (
     EndoKind,
     MorphismKind,
@@ -28,6 +31,7 @@ from .morphisms import (
     X_NAMES,
     Y_KINDS,
     classify_map,
+    enumerate_local_morphisms,
 )
 
 DECIDE_CAP = 7
@@ -126,14 +130,6 @@ class MembershipVector:
         )
 
 
-def _vertex_range(g, horizon: int | None) -> range:
-    if isinstance(g, FiniteGraph):
-        return range(g.n)
-    if horizon is None:
-        raise GraphError("oracle graphs need an explicit horizon")
-    return range(horizon)
-
-
 def _pair_ok(g, f_pairs, s: int, t: int, kind: MorphismKind) -> bool:
     # constraints the new pair (s, t) adds against every existing pair
     for u, fu in f_pairs:
@@ -148,15 +144,48 @@ def _pair_ok(g, f_pairs, s: int, t: int, kind: MorphismKind) -> bool:
     return True
 
 
-def _extension_candidates(g, pairs, c, kind, vrange) -> tuple[int, ...]:
-    return tuple(d for d in vrange if _pair_ok(g, pairs, c, d, kind))
+def _step_mask(rows, pairs, target: int, side: str, kind, horizon_mask: int) -> int:
+    """Bitmask of the ``d`` with ``f + (target -> d)`` of kind ``kind`` (extension
+    side), or of the ``a`` outside the domain with ``f + (a -> target)`` of kind
+    ``kind`` (preimage side, ``target`` outside the image).  Each pair of ``f``
+    ANDs in one row or complemented row; ``rows`` cover every vertex involved.
+    """
+    mask = horizon_mask
+    iso = kind is MorphismKind.ISOMORPHISM
+    if side == "extension":
+        mono = kind >= MorphismKind.MONOMORPHISM
+        for u, fu in pairs:
+            if rows[u] >> target & 1:
+                mask &= rows[fu]
+            elif iso:
+                mask &= ~(rows[fu] | 1 << fu)
+            elif mono:
+                mask &= ~(1 << fu)
+        return mask
+    for u, fu in pairs:
+        mask &= ~(1 << u)
+        if not rows[fu] >> target & 1:
+            mask &= ~rows[u]
+        elif iso:
+            mask &= rows[u]
+    return mask
 
 
-def _preimage_candidates(g, pairs, b, kind, vrange) -> tuple[int, ...]:
-    dom = {u for u, _ in pairs}
-    return tuple(
-        a for a in vrange if a not in dom and _pair_ok(g, pairs, a, b, kind)
-    )
+def _truncation(o: OracleGraph, f: PartialMap, *sizes: int) -> FiniteGraph:
+    """Truncation of ``o`` covering every vertex of ``f`` and each of ``sizes``."""
+    return oracle_truncate(o, max((*sizes, *(v + 1 for pair in f.pairs for v in pair))))
+
+
+def _one_step(g, f: PartialMap, target: int, side: str, kind, horizon) -> tuple[int, ...]:
+    if isinstance(g, FiniteGraph):
+        t, horizon_mask = g, (1 << g.n) - 1
+    elif horizon is None:
+        raise GraphError("oracle graphs need an explicit horizon")
+    else:
+        t, horizon_mask = _truncation(g, f, horizon, target + 1), (1 << horizon) - 1
+    if classify_map(t, f) < kind:
+        raise GraphError("map is below the requested kind")
+    return _bits(_step_mask(t.rows, f.pairs, target, side, kind, horizon_mask))
 
 
 def one_step_extension(
@@ -164,24 +193,21 @@ def one_step_extension(
 ) -> tuple[int, ...]:
     """All targets ``d`` such that ``f + (c -> d)`` still has the given kind.
 
-    For monomorphism kind and above, ``d`` must avoid the current image.
+    For monomorphism kind and above, ``d`` must avoid the current image.  On
+    an oracle graph ``d < horizon``, read from a truncation (which may raise).
     """
     if c in f.domain:
         raise GraphError(f"vertex {c} already in the domain")
-    if classify_map(g, f) < kind:
-        raise GraphError("map is below the requested kind")
-    return _extension_candidates(g, f.pairs, c, kind, _vertex_range(g, horizon))
+    return _one_step(g, f, c, "extension", kind, horizon)
 
 
 def one_step_preimage(
     g, f: PartialMap, b: int, kind: MorphismKind, *, horizon: int | None = None
 ) -> tuple[int, ...]:
     """All sources ``a`` outside the domain such that ``f + (a -> b)`` keeps the kind."""
-    if b in set(f.image):
+    if b in f.values:
         raise GraphError(f"vertex {b} already in the image")
-    if classify_map(g, f) < kind:
-        raise GraphError("map is below the requested kind")
-    return _preimage_candidates(g, f.pairs, b, kind, _vertex_range(g, horizon))
+    return _one_step(g, f, b, "preimage", kind, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -253,31 +279,6 @@ def extend_finite(g: FiniteGraph, f: PartialMap, y: EndoKind) -> tuple[int, ...]
             out[x] = mask
         return out
 
-    def initial_candidates() -> list[int] | None:
-        used = 0
-        for t in assign:
-            if t >= 0:
-                used |= 1 << t
-        cands = [full] * n
-        for v in range(n):
-            if assign[v] >= 0:
-                cands[v] = 1 << assign[v]
-                continue
-            mask = full
-            if y.needs_injective:
-                mask &= ~used
-            for u in range(n):
-                if assign[u] < 0:
-                    continue
-                if rows[u] >> v & 1:
-                    mask &= rows[assign[u]]
-                elif y.preserves_nonedges:
-                    mask &= ~rows[assign[u]] & full & ~(1 << assign[u])
-            if mask == 0:
-                return None
-            cands[v] = mask
-        return cands
-
     def surjectivity_ok(cands: list[int]) -> bool:
         used = 0
         free = 0
@@ -318,10 +319,13 @@ def extend_finite(g: FiniteGraph, f: PartialMap, y: EndoKind) -> tuple[int, ...]
             assign[best_v] = -1
         return False
 
-    cands = initial_candidates()
-    if cands is None:
-        return None
-    if not search(cands):
+    # the pairwise constraints of a kind-y map are those of y.required_kind
+    cands = [
+        1 << assign[v] if assign[v] >= 0
+        else _step_mask(rows, f.pairs, v, "extension", y.required_kind, full)
+        for v in range(n)
+    ]
+    if 0 in cands or not search(cands):
         return None
     total = tuple(assign)
     if y.needs_surjective:
@@ -609,7 +613,7 @@ class ExtensionTrace:
 
 
 def _certified_exhaustion(
-    o: OracleGraph, f: PartialMap, target: int, side: str, kind: MorphismKind
+    o: OracleGraph, rows, pairs, target: int, side: str, kind: MorphismKind
 ) -> str | None:
     """Certificate that a stuck step has no candidate anywhere in the oracle.
 
@@ -619,32 +623,32 @@ def _certified_exhaustion(
     ``c`` every candidate must be adjacent to the images of the domain
     neighbors of ``c``.  If a complete candidate list comes back and every
     member fails the actual one-step test, the failure is
-    horizon-independent.
+    horizon-independent.  Listed candidates may lie beyond ``rows``, so
+    they are tested with the oracle's predicate.
     """
     structure = o.structure
     if structure is None:
         return None
-    pairs = f.pairs
     if side == "preimage":
-        avoid = frozenset(u for u, fu in pairs if not o.adj(fu, target))
+        avoid = frozenset(u for u, fu in pairs if not rows[fu] >> target & 1)
         cands = structure.cocone_candidates(avoid)
         desc = f"co-cones over {sorted(avoid)}"
         if cands is None and kind is MorphismKind.ISOMORPHISM:
-            need = frozenset(u for u, fu in pairs if o.adj(fu, target))
+            need = frozenset(u for u, fu in pairs if rows[fu] >> target & 1)
             cands = structure.cone_candidates(need)
             desc = f"cones over {sorted(need)}"
-        dom = set(f.domain)
         if cands is None:
             return None
+        dom = {u for u, _ in pairs}
         for a in cands:
             if a not in dom and _pair_ok(o, pairs, a, target, kind):
                 return None  # a live candidate exists beyond the horizon
         return f"preimage of {target} confined to {desc} = {sorted(cands)}; exhausted"
-    need = frozenset(fu for u, fu in pairs if o.adj(u, target))
+    need = frozenset(fu for u, fu in pairs if rows[u] >> target & 1)
     cands = structure.cone_candidates(need)
     desc = f"cones over {sorted(need)}"
     if cands is None and kind is MorphismKind.ISOMORPHISM:
-        avoid = frozenset(fu for u, fu in pairs if not o.adj(u, target))
+        avoid = frozenset(fu for u, fu in pairs if not rows[u] >> target & 1)
         cands = structure.cocone_candidates(avoid)
         desc = f"co-cones over {sorted(avoid)}"
     if cands is None:
@@ -680,10 +684,25 @@ def back_and_forth(
     kind any restriction of a kind-``y`` endomorphism satisfies) is provably
     confined by the declared structure and exhausted; the stuck prefix is
     then a definite counterexample in its own right.
+
+    The schedule reads the rows of one truncation of ``o`` (to the horizon
+    and every vertex of ``f``), so each step's candidates are one AND of
+    rows; an asymmetric or reflexive ``o`` raises :class:`GraphError`.  The
+    predicate is called again only on the candidates a certificate lists.
     """
+    t = _truncation(o, f, horizon)
+    return _back_and_forth(
+        o, t.rows, f, y, f_kind=classify_map(t, f), depth=depth, horizon=horizon, x=x
+    )
+
+
+def _back_and_forth(
+    o: OracleGraph, rows, f: PartialMap, y: EndoKind, *, f_kind, depth, horizon, x
+) -> ExtensionTrace:
+    # rows cover the horizon and every vertex of f; f_kind is the kind of f
     cert_kind = y.required_kind
     kind = cert_kind if x is None else max(x, cert_kind)
-    if classify_map(o, f) < kind:
+    if f_kind < kind:
         raise GraphError(f"map is below the kind required for Y={y.value}")
     surj = y.needs_surjective
     header = f"schedule for Y={y.value}: step kind {kind.name}"
@@ -693,71 +712,39 @@ def back_and_forth(
             f" (preimage steps kept at {kind.name} so stuck prefixes stay"
             f" valid witnesses)"
         )
-    elif y is EndoKind.E and classify_map(o, f) is MorphismKind.ISOMORPHISM:
+    elif y is EndoKind.E and f_kind is MorphismKind.ISOMORPHISM:
         header += " (isomorphism start driven by image-side preimage steps)"
     trace = ExtensionTrace(initial=f, y=y, header=header)
-    current = f
+    horizon_mask = (1 << horizon) - 1
+    domain = image = 0
+    for u, fu in f.pairs:
+        domain |= 1 << u
+        image |= 1 << fu
+    pairs = list(f.pairs)
     for step in range(depth):
-        preimage_turn = surj and step % 2 == 0
-        if preimage_turn:
-            covered = set(current.image)
-            target = next((b for b in range(horizon) if b not in covered), None)
-            side = "preimage"
-        else:
-            dom = set(current.domain)
-            target = next((c for c in range(horizon) if c not in dom), None)
-            side = "extension"
-        if target is None:
+        side = "preimage" if surj and step % 2 == 0 else "extension"
+        free = horizon_mask & ~(image if side == "preimage" else domain)
+        if not free:
             trace.outcome = "horizon-exhausted"
             break
-        pair = None
-        if side == "preimage":
-            dom = set(current.domain)
-            for a in range(horizon):
-                if a not in dom and _pair_ok(o, current.pairs, a, target, kind):
-                    pair = (a, target)
-                    break
-        else:
-            for d in range(horizon):
-                if _pair_ok(o, current.pairs, target, d, kind):
-                    pair = (target, d)
-                    break
-        if pair is None:
+        target = (free & -free).bit_length() - 1
+        mask = _step_mask(rows, pairs, target, side, kind, horizon_mask)
+        if not mask:
             trace.outcome = "stuck"
             trace.stuck_vertex = target
             trace.stuck_side = side
-            in_horizon_weaker = False
-            if cert_kind < kind:
-                dom = set(current.domain)
-                for v in range(horizon):
-                    if side == "preimage":
-                        ok = v not in dom and _pair_ok(o, current.pairs, v, target, cert_kind)
-                    else:
-                        ok = _pair_ok(o, current.pairs, target, v, cert_kind)
-                    if ok:
-                        in_horizon_weaker = True
-                        break
-            if not in_horizon_weaker:
-                trace.certificate = _certified_exhaustion(
-                    o, current, target, side, cert_kind
-                )
+            # certified only if the step is stuck at the weaker kind cert_kind too
+            if not _step_mask(rows, pairs, target, side, cert_kind, horizon_mask):
+                trace.certificate = _certified_exhaustion(o, rows, pairs, target, side, cert_kind)
             break
-        current = current.extended(*pair)
+        v = (mask & -mask).bit_length() - 1
+        pair = (v, target) if side == "preimage" else (target, v)
+        domain |= 1 << pair[0]
+        image |= 1 << pair[1]
+        pairs.append(pair)
         trace.steps.append(TraceStep(step, side, pair, f"least {side} candidate"))
-    trace.final = current
+    trace.final = PartialMap(tuple(sorted(pairs)))
     return trace
-
-
-def _bounded_morphisms(
-    o: OracleGraph, x: MorphismKind, k: int, window: int
-) -> list[PartialMap]:
-    """Kind-``x`` maps with domain and image inside the window, size then lex order."""
-    from .morphisms import enumerate_local_morphisms
-
-    trunc = oracle_truncate(o, window)
-    maps = list(enumerate_local_morphisms(trunc, x, k))
-    maps.sort(key=lambda f: (len(f.pairs), f.domain, f.values))
-    return maps
 
 
 def decide_xy_bounded(
@@ -779,14 +766,17 @@ def decide_xy_bounded(
     kind-``y`` extension anywhere in the graph: the verdict's witnesses are
     those prefix maps, and ``details`` pairs each with its starting map and
     trace.  Uncertified stuck steps only contribute to the UnknownAtBound
-    accounting.
+    accounting.  One truncation, to ``max(horizon, window)``, serves every
+    schedule (see :func:`back_and_forth`).
     """
     window = min(horizon, DEFAULT_WINDOW) if window is None else window
+    t = oracle_truncate(o, max(horizon, window))
     definite: list[tuple[PartialMap, ExtensionTrace]] = []
     stuck_uncertified = 0
-    maps = _bounded_morphisms(o, x, k, window)
+    maps = list(enumerate_local_morphisms(induced_subgraph(t, range(window)), x, k))
+    maps.sort(key=lambda f: (len(f.pairs), f.domain, f.values))
     for f in maps:
-        kind = classify_map(o, f)
+        kind = classify_map(t, f)
         if kind < y.required_kind:
             # a restriction of a kind-y endomorphism always has kind
             # required(y); a strictly weaker map fails horizon-independently
@@ -803,7 +793,9 @@ def decide_xy_bounded(
             )
             definite.append((f, trace))
             continue
-        trace = back_and_forth(o, f, y, depth=depth, horizon=horizon, x=x)
+        trace = _back_and_forth(
+            o, t.rows, f, y, f_kind=kind, depth=depth, horizon=horizon, x=x
+        )
         if trace.is_stuck:
             if trace.certificate:
                 definite.append((f, trace))

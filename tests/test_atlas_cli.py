@@ -111,6 +111,27 @@ class TestCli:
         assert main(["atlas", "--max-n", "3", "-o", str(out1), "--resume"]) == 0
         assert out1.read_bytes() == before
 
+    def test_atlas_resume_skips_before_classifying(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "a.jsonl"
+        assert main(["atlas", "--max-n", "4", "-o", str(out)]) == 0
+        before = out.read_bytes()
+
+        def refuse(g, **kwargs):
+            raise AssertionError("resume classified a graph it then skipped")
+
+        monkeypatch.setattr("homext.atlas.classify_finite", refuse)
+        assert main(["atlas", "--max-n", "4", "-o", str(out), "--resume"]) == 0
+        assert out.read_bytes() == before
+
+    def test_atlas_resume_completes_a_partial_file(self, tmp_path, capsys):
+        full, part = tmp_path / "full.jsonl", tmp_path / "part.jsonl"
+        assert main(["atlas", "--max-n", "4", "-o", str(full)]) == 0
+        lines = full.read_text().splitlines(keepends=True)
+        part.write_text("".join(lines[:6]))  # header and the first five records
+        assert main(["atlas", "--max-n", "4", "-o", str(part), "--resume"]) == 0
+        assert part.read_bytes() == full.read_bytes()
+        assert "wrote 13 records" in capsys.readouterr().err
+
     def test_age_command(self, capsys):
         assert main(["age", "--gen", "k", "4", "--k", "2"]) == 0
         out = capsys.readouterr().out

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from homext.engine import (
     Status,
@@ -19,10 +20,11 @@ from homext.generators import (
     complete,
     composite,
     independent,
+    rado_bit,
     rado_plus_dominating_oracle,
     rs_graph,
 )
-from homext.graphs import FiniteGraph, GraphError
+from homext.graphs import FiniteGraph, GraphError, OracleGraph
 from homext.morphisms import (
     EndoKind,
     MorphismKind,
@@ -67,6 +69,83 @@ class TestOneStep:
             one_step_extension(P3, f, 0, H)
         with pytest.raises(GraphError):
             one_step_preimage(P3, f, 0, H)
+
+
+STEP_ORACLES = {
+    "rs3": rs_graph(3),
+    "rado": rado_bit(),
+    "radoplus": rado_plus_dominating_oracle(),
+    "comp": composite(OMEGA, OMEGA),
+}
+STEP_HORIZON = 12
+
+
+@st.composite
+def oracle_maps(draw):
+    """An oracle, a kind, and a map of that kind grown pair by pair (some pairs
+    reach past the horizon)."""
+    o = STEP_ORACLES[draw(st.sampled_from(sorted(STEP_ORACLES)))]
+    kind = draw(st.sampled_from(X_KINDS))
+    f = PartialMap(())
+    vertex = st.integers(0, 15)
+    for s, t in draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=5)):
+        if s not in f.domain and classify_map(o, f.extended(s, t)) >= kind:
+            f = f.extended(s, t)
+    return o, kind, f
+
+
+class TestOneStepOnOracles:
+    """The bitset step kernel against a filter that asks the predicate directly."""
+
+    @given(oracle_maps(), st.integers(0, 15))
+    def test_extension_matches_predicate_filter(self, drawn, c):
+        o, kind, f = drawn
+        if c in f.domain:
+            return
+        expected = tuple(
+            d for d in range(STEP_HORIZON) if classify_map(o, f.extended(c, d)) >= kind
+        )
+        assert one_step_extension(o, f, c, kind, horizon=STEP_HORIZON) == expected
+
+    @given(oracle_maps(), st.integers(0, 15))
+    def test_preimage_matches_predicate_filter(self, drawn, b):
+        o, kind, f = drawn
+        if b in f.values:
+            return
+        expected = tuple(
+            a
+            for a in range(STEP_HORIZON)
+            if a not in f.domain and classify_map(o, f.extended(a, b)) >= kind
+        )
+        assert one_step_preimage(o, f, b, kind, horizon=STEP_HORIZON) == expected
+
+    def test_oracle_needs_a_horizon(self):
+        with pytest.raises(GraphError):
+            one_step_extension(rs_graph(3), PartialMap(((0, 0),)), 1, H)
+
+
+# symmetric and loop-free on 0..4, so every window-4 starting map is sound;
+# only a truncation to the horizon meets the defect
+LOPSIDED = OracleGraph(lambda i, j: (i, j) == (5, 9), "lopsided")
+LOOPED = OracleGraph(lambda i, j: i == j == 7, "looped")
+
+
+@pytest.mark.parametrize("o", [LOPSIDED, LOOPED], ids=["asymmetric", "reflexive"])
+class TestMalformedOracles:
+    def test_bounded_sweep_raises(self, o):
+        with pytest.raises(GraphError):
+            decide_xy_bounded(o, M, EndoKind.H, k=2, window=4, horizon=16)
+
+    def test_schedule_raises(self, o):
+        with pytest.raises(GraphError):
+            back_and_forth(o, PartialMap(((0, 1),)), EndoKind.E, depth=4, horizon=16)
+
+    def test_one_step_raises(self, o):
+        f = PartialMap(((0, 1),))
+        with pytest.raises(GraphError):
+            one_step_extension(o, f, 2, H, horizon=16)
+        with pytest.raises(GraphError):
+            one_step_preimage(o, f, 2, H, horizon=16)
 
 
 class TestExtendFinite:
@@ -277,6 +356,18 @@ class TestDecideBounded:
         assert v.fails
         assert "kind" in v.certificate
         assert not v.witness.is_injective()
+
+    def test_window_beyond_horizon(self):
+        # starting maps reach vertices 4 and 5, past the horizon; the steps
+        # still only pick candidates below it
+        v = decide_xy_bounded(rs_graph(3), M, EndoKind.B, k=2, window=6, horizon=4, depth=6)
+        assert v.report_line(M, EndoKind.B) == (
+            "FAIL X=M Y=B map=0->0,1->3,3->1 stuck=2 certificate=preimage of 2 "
+            "confined to co-cones over [0, 3] = [0, 1, 2]; exhausted"
+        )
+        assert (v.bounds["maps"], v.bounds["stuck_uncertified"], len(v.witnesses)) == (
+            378, 160, 169
+        )
 
     def test_iso_to_embedding_failure_certified(self):
         # the modular family is not self-embedding homogeneous: an isomorphism
