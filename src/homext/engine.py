@@ -1,10 +1,14 @@
 """Deciding XY-homogeneity: exact on finite graphs, bounded on oracle graphs.
 
 A graph is XY-homogeneous when every local morphism of kind X extends to a
-total endomorphism of kind Y.  For finite graphs the decision is exact: all
-local morphisms are enumerated and extendability is settled by exhaustive
-backtracking, with results shared across the 18 (X, Y) pairs through one
-memoized analysis per graph.  For oracle graphs a back-and-forth schedule
+total endomorphism of kind Y.  For finite graphs the decision is exact.  On
+a finite graph an injective or surjective endomorphism is bijective, and a
+bijective homomorphism maps the finitely many edges onto the edges, so it is
+an automorphism: I = M = E = B = A as extension targets.  One streamed pass
+per graph visits the local homomorphisms in (size, domain, values) order,
+asks two memoized backtracking extenders (H and A) about them, and stops
+once the first failure of each of the six (X, H or A) pairs is known; the
+18 verdicts are read off those.  For oracle graphs a back-and-forth schedule
 reads the bitset rows of one truncation, so a malformed (asymmetric or
 reflexive) oracle raises GraphError; the predicate is called again only for
 certificate candidates beyond the horizon.  A negative verdict is definite
@@ -30,6 +34,7 @@ from .morphisms import (
     X_KINDS,
     X_NAMES,
     Y_KINDS,
+    _step_mask,
     classify_map,
     enumerate_local_morphisms,
 )
@@ -47,7 +52,7 @@ class Status(Enum):
     UNKNOWN = "unknown-at-bound"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Three-valued outcome; failures carry a re-checkable witness."""
 
@@ -87,7 +92,7 @@ class Verdict:
 _RANK = {Status.HOLDS: 2, Status.UNKNOWN: 1, Status.FAILS: 0}
 
 
-@dataclass
+@dataclass(slots=True)
 class MembershipVector:
     """One verdict per (X, Y) pair of the 18 morphism-extension classes."""
 
@@ -142,33 +147,6 @@ def _pair_ok(g, f_pairs, s: int, t: int, kind: MorphismKind) -> bool:
         if kind >= MorphismKind.MONOMORPHISM and (fu == t or u == s):
             return False
     return True
-
-
-def _step_mask(rows, pairs, target: int, side: str, kind, horizon_mask: int) -> int:
-    """Bitmask of the ``d`` with ``f + (target -> d)`` of kind ``kind`` (extension
-    side), or of the ``a`` outside the domain with ``f + (a -> target)`` of kind
-    ``kind`` (preimage side, ``target`` outside the image).  Each pair of ``f``
-    ANDs in one row or complemented row; ``rows`` cover every vertex involved.
-    """
-    mask = horizon_mask
-    iso = kind is MorphismKind.ISOMORPHISM
-    if side == "extension":
-        mono = kind >= MorphismKind.MONOMORPHISM
-        for u, fu in pairs:
-            if rows[u] >> target & 1:
-                mask &= rows[fu]
-            elif iso:
-                mask &= ~(rows[fu] | 1 << fu)
-            elif mono:
-                mask &= ~(1 << fu)
-        return mask
-    for u, fu in pairs:
-        mask &= ~(1 << u)
-        if not rows[fu] >> target & 1:
-            mask &= ~rows[u]
-        elif iso:
-            mask &= rows[u]
-    return mask
 
 
 def _truncation(o: OracleGraph, f: PartialMap, *sizes: int) -> FiniteGraph:
@@ -354,131 +332,44 @@ def total_endo_kinds(g: FiniteGraph, total: Iterable[int]) -> set[EndoKind]:
     return kinds
 
 
-def _enumerate_homs(g: FiniteGraph):
-    """All local homomorphisms as (domain, values, kind), size then lex order."""
-    n = g.n
-    rows = g.rows
-    out = []
-    values = [0] * n
-    for size in range(1, n + 1):
-        for dom in itertools.combinations(range(n), size):
-            def rec(pos: int, injective: bool, iso: bool) -> None:
-                if pos == size:
-                    vals = tuple(values[:size])
-                    if injective and iso:
-                        kind = MorphismKind.ISOMORPHISM
-                    elif injective:
-                        kind = MorphismKind.MONOMORPHISM
-                    else:
-                        kind = MorphismKind.HOMOMORPHISM
-                    out.append((dom, vals, kind))
-                    return
-                u = dom[pos]
-                for d in range(n):
-                    ok = True
-                    inj2 = injective
-                    iso2 = iso
-                    for q in range(pos):
-                        e = rows[dom[q]] >> u & 1
-                        fe = rows[values[q]] >> d & 1
-                        if e and not fe:
-                            ok = False
-                            break
-                        if e != fe:
-                            iso2 = False
-                        if values[q] == d:
-                            inj2 = False
-                    if ok:
-                        values[pos] = d
-                        rec(pos + 1, inj2, iso2 and inj2)
-
-            rec(0, True, True)
-    return out
-
-
 class _YExtender:
-    """Memoized extendability of partial maps to total endomorphisms of one kind.
+    """Memoized extendability of local morphisms to total endomorphisms of kind ``y``.
 
-    The recursion always assigns the least unassigned vertex, so memo entries
-    are shared between queries whose domains overlap on prefixes.  Keys are
-    ``(domain bitmask, values in vertex order)``; a map's extendability is a
-    property of the map alone, so the cache is sound across queries.  Queried
-    maps must already be homomorphism-compatible (the enumeration only
-    produces those); the kind-specific constraints are checked here.
+    Only H and A are built: on a finite graph an injective or surjective
+    endomorphism is bijective, and a bijective homomorphism maps the finitely
+    many edges onto the edges, so it is an automorphism (I = M = E = B = A as
+    extension targets).  The recursion always assigns the least unassigned
+    vertex, its candidates one :func:`_step_mask` at ``y.required_kind``, so
+    memo entries are shared between queries whose domains overlap on
+    prefixes.  Keys are the sorted pairs of the map; a map's extendability is
+    a property of the map alone, so the cache is sound across queries.
+    Queried maps must already have kind ``y.required_kind``.
     """
 
     def __init__(self, g: FiniteGraph, y: EndoKind):
-        self.g = g
-        self.y = y
         self.rows = g.rows
-        self.n = g.n
         self.full = (1 << g.n) - 1
-        self.memo: dict[tuple[int, tuple[int, ...]], bool] = {}
+        self.kind = y.required_kind
+        self.memo: dict[tuple[tuple[int, int], ...], bool] = {}
 
-    def query(self, dom: tuple[int, ...], vals: tuple[int, ...]) -> bool:
-        y = self.y
-        if y.needs_injective and len(set(vals)) < len(vals):
-            return False
-        if y.needs_surjective and len(set(vals)) + (self.n - len(dom)) < self.n:
-            return False
-        if y.preserves_nonedges and not _map_is_iso_compatible(
-            self.g, tuple(zip(dom, vals))
-        ):
-            return False
-        dom_mask = 0
-        for u in dom:
-            dom_mask |= 1 << u
-        return self._extend(dom_mask, vals)
-
-    def _extend(self, dom_mask: int, vals: tuple[int, ...]) -> bool:
-        key = (dom_mask, vals)
-        memo = self.memo
-        hit = memo.get(key)
+    def extends(self, dom_mask: int, pairs: tuple[tuple[int, int], ...]) -> bool:
+        hit = self.memo.get(pairs)
         if hit is not None:
             return hit
-        n = self.n
-        y = self.y
-        if dom_mask == self.full:
-            result = not y.needs_surjective or len(set(vals)) == n
-            memo[key] = result
-            return result
-        v = (~dom_mask & self.full)
-        v = (v & -v).bit_length() - 1  # least unassigned vertex
-        rows = self.rows
-        dom_bits = []
-        m = dom_mask
-        while m:
-            low = m & -m
-            dom_bits.append(low.bit_length() - 1)
-            m ^= low
-        used = 0
-        for t in vals:
-            used |= 1 << t
-        img_size = used.bit_count()
-        insert_at = (dom_mask & ((1 << v) - 1)).bit_count()
-        new_mask = dom_mask | 1 << v
-        result = False
-        for d in range(n):
-            if y.needs_injective and used >> d & 1:
-                continue
-            if y.needs_surjective:
-                new_img = img_size + (0 if used >> d & 1 else 1)
-                if new_img + (n - len(dom_bits) - 1) < n:
-                    continue
-            ok = True
-            for idx, u in enumerate(dom_bits):
-                e = rows[u] >> v & 1
-                fe = rows[vals[idx]] >> d & 1
-                if e and not fe:
-                    ok = False
-                    break
-                if y.preserves_nonedges and e != fe:
-                    ok = False
-                    break
-            if ok and self._extend(new_mask, vals[:insert_at] + (d,) + vals[insert_at:]):
-                result = True
-                break
-        memo[key] = result
+        free = self.full & ~dom_mask
+        result = not free
+        if free:
+            v = (free & -free).bit_length() - 1  # least unassigned vertex
+            at = (dom_mask & ((1 << v) - 1)).bit_count()
+            head, tail = pairs[:at], pairs[at:]
+            mask = _step_mask(self.rows, pairs, v, "extension", self.kind, self.full)
+            while mask and not result:
+                low = mask & -mask
+                mask ^= low
+                result = self.extends(
+                    dom_mask | 1 << v, head + ((v, low.bit_length() - 1),) + tail
+                )
+        self.memo[pairs] = result
         return result
 
 
@@ -504,59 +395,102 @@ def _component_confinement_note(g: FiniteGraph, dom, vals, y: EndoKind) -> str |
     return None
 
 
-@dataclass
-class _FiniteAnalysis:
-    maps: list
-    extendable: dict[EndoKind, list[bool]]
+_FINITE_Y = (EndoKind.H, EndoKind.A)
+_XY_KEYS = tuple((x, y) for x in X_KINDS for y in Y_KINDS)
+_HOLDS = Verdict(Status.HOLDS)
 
 
-def _analyze_finite(g: FiniteGraph) -> _FiniteAnalysis:
-    maps = _enumerate_homs(g)
-    extendable: dict[EndoKind, list[bool]] = {}
-    for y in Y_KINDS:
-        ext = _YExtender(g, y)
-        flags = [True] * len(maps)
-        pending = {x: True for x in X_KINDS}
-        for i, (dom, vals, kind) in enumerate(maps):
-            if not any(pending[x] for x in X_KINDS if kind >= x):
+def _first_failures(g: FiniteGraph) -> dict[tuple[MorphismKind, EndoKind], PartialMap]:
+    """The first non-extendable local morphism of kind at least ``x``, per ``x``
+    and ``y`` in H and A; a missing pair holds.
+
+    One streamed pass over the local homomorphisms in (size, domain, values)
+    order, each position's candidates one :func:`_step_mask`.  A map stays
+    injective while each new value's bit is outside the image, and an
+    isomorphism while it also avoids the rows of the images of the
+    non-neighbours.  A non-isomorphism fails A without a query.  Once the
+    pairs of every ``x`` below some kind are settled, only maps of at least
+    that kind are visited, and the pass stops when all six pairs are settled.
+    """
+    n, rows = g.n, g.rows
+    full = (1 << n) - 1
+    iso = MorphismKind.ISOMORPHISM
+    extenders = {y: _YExtender(g, y) for y in _FINITE_Y}
+    floor = dict.fromkeys(_FINITE_Y, MorphismKind.HOMOMORPHISM)  # weakest unsettled x
+    failures: dict[tuple[MorphismKind, EndoKind], PartialMap] = {}
+    lowest = MorphismKind.HOMOMORPHISM
+
+    def visit(pairs, dom_mask: int, kind: MorphismKind) -> None:
+        for y in _FINITE_Y:
+            lo = floor[y]
+            if kind < lo:
                 continue
-            ok = ext.query(dom, vals)
-            flags[i] = ok
-            if not ok:
+            if (y is EndoKind.A and kind < iso) or not extenders[y].extends(dom_mask, pairs):
+                witness = PartialMap(pairs)
                 for x in X_KINDS:
-                    if kind >= x:
-                        pending[x] = False
-        extendable[y] = flags
-    return _FiniteAnalysis(maps, extendable)
+                    if lo <= x <= kind:
+                        failures[(x, y)] = witness
+                floor[y] = kind + 1
+
+    def rec(dom, pairs, dom_mask: int, image: int, kind: MorphismKind) -> bool:
+        # True once all six pairs are settled
+        nonlocal lowest
+        pos = len(pairs)
+        if pos == len(dom):
+            visit(pairs, dom_mask, kind)
+            lowest = min(floor.values())
+            return lowest > iso
+        u = dom[pos]
+        blocked = 0  # values that break isomorphism: rows of non-neighbours' images
+        if kind == iso:
+            for q, fq in pairs:
+                if not rows[q] >> u & 1:
+                    blocked |= rows[fq]
+        mask = _step_mask(rows, pairs, u, "extension", MorphismKind(lowest), full)
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            new_kind = MorphismKind.HOMOMORPHISM if image & low else kind
+            if new_kind == iso and blocked & low:
+                new_kind = MorphismKind.MONOMORPHISM
+            if new_kind >= lowest and rec(
+                dom, pairs + ((u, low.bit_length() - 1),), dom_mask | 1 << u,
+                image | low, new_kind,
+            ):
+                return True
+        return False
+
+    for size in range(1, n + 1):
+        for dom in itertools.combinations(range(n), size):
+            if rec(dom, (), 0, 0, iso):
+                return failures
+    return failures
 
 
-def _finite_verdict(g: FiniteGraph, analysis: _FiniteAnalysis, x: MorphismKind, y: EndoKind) -> Verdict:
-    flags = analysis.extendable[y]
-    for i, (dom, vals, kind) in enumerate(analysis.maps):
-        if kind < x or flags[i]:
-            continue
-        witness = PartialMap(tuple(zip(dom, vals)))
-        stuck = None
-        step_kind = y.required_kind
-        if classify_map(g, witness) >= step_kind:
-            for c in range(g.n):
-                if c in dom:
-                    continue
-                if not one_step_extension(g, witness, c, step_kind):
-                    stuck = c
-                    break
-        note = _component_confinement_note(g, dom, vals, y)
-        return Verdict(Status.FAILS, witness=witness, stuck=stuck, note=note)
-    return Verdict(Status.HOLDS)
+def _finite_verdict(g: FiniteGraph, failures, x: MorphismKind, y: EndoKind) -> Verdict:
+    witness = failures.get((x, EndoKind.H if y is EndoKind.H else EndoKind.A))
+    if witness is None:
+        return _HOLDS
+    dom = witness.domain
+    stuck = None
+    step_kind = y.required_kind
+    if classify_map(g, witness) >= step_kind:
+        for c in range(g.n):
+            if c in dom:
+                continue
+            if not one_step_extension(g, witness, c, step_kind):
+                stuck = c
+                break
+    note = _component_confinement_note(g, dom, witness.values, y)
+    return Verdict(Status.FAILS, witness=witness, stuck=stuck, note=note)
 
 
 @lru_cache(maxsize=4096)
 def _classified(g: FiniteGraph) -> MembershipVector:
-    analysis = _analyze_finite(g)
-    entries = {
-        (x, y): _finite_verdict(g, analysis, x, y) for x in X_KINDS for y in Y_KINDS
-    }
-    return MembershipVector(entries)
+    failures = _first_failures(g)
+    shared: dict[Verdict, Verdict] = {}  # equal verdicts share one object
+    verdicts = (_finite_verdict(g, failures, x, y) for x, y in _XY_KEYS)
+    return MembershipVector(dict(zip(_XY_KEYS, (shared.setdefault(v, v) for v in verdicts))))
 
 
 def decide_xy_finite(
@@ -566,8 +500,12 @@ def decide_xy_finite(
 
     Exhaustive over all local morphisms (every domain size); failures carry
     the first non-extendable map in (size, domain, images) order, so the
-    witness has minimal domain.  Graph size is capped (default
-    :data:`DECIDE_CAP`) because the sweep enumerates every local morphism.
+    witness has minimal domain.  The sweep is streamed and stops once the
+    first failures of all six (X, H or A) pairs are known; Y in I, M, E, B
+    shares A's witness, since on a finite graph I = M = E = B = A as
+    extension targets (the ``stuck`` step and ``note`` still follow ``y``).
+    Graph size is capped (default :data:`DECIDE_CAP`) because a sweep that
+    does not stop early enumerates every local morphism.
     """
     if g.n > cap:
         raise GraphError(f"exact decision for n={g.n} exceeds cap {cap}")
@@ -575,7 +513,12 @@ def decide_xy_finite(
 
 
 def classify_finite(g: FiniteGraph, *, cap: int = DECIDE_CAP) -> MembershipVector:
-    """All 18 verdicts at once, sharing one extension analysis."""
+    """All 18 verdicts at once, from one streamed first-failure pass.
+
+    The pass stops once the first failures of the six (X, H or A) pairs are
+    known; I, M, E and B read A's, by the finite identity I = M = E = B = A.
+    Equal verdicts within the vector share one object.
+    """
     if g.n > cap:
         raise GraphError(f"exact classification for n={g.n} exceeds cap {cap}")
     return _classified(g)

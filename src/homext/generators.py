@@ -98,7 +98,7 @@ class CompositeStructure(GraphStructure):
         blocks = {self.block(v) for v in zset}
         if len(blocks) >= 2:
             return []  # adjacency never crosses blocks
-        if self.n != OMEGA and self.m == OMEGA:
+        if self.n != OMEGA and self.m == OMEGA and blocks:  # cones over nothing: unconfined
             b = next(iter(blocks))
             size = int(self.n)
             return [b * size + j for j in range(size)]

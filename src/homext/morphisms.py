@@ -93,7 +93,7 @@ X_NAMES = {
 X_BY_NAME = {v: k for k, v in X_NAMES.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialMap:
     """Finite partial vertex map as sorted ``(source, target)`` pairs."""
 
@@ -183,45 +183,62 @@ def classify_map(g, f: PartialMap) -> MorphismKind:
     return MorphismKind.ISOMORPHISM if iso else MorphismKind.MONOMORPHISM
 
 
+def _step_mask(rows, pairs, target: int, side: str, kind, horizon_mask: int) -> int:
+    """Bitmask of the ``d`` with ``f + (target -> d)`` of kind ``kind`` (extension
+    side), or of the ``a`` outside the domain with ``f + (a -> target)`` of kind
+    ``kind`` (preimage side, ``target`` outside the image).  Each pair of ``f``
+    ANDs in one row or complemented row; ``rows`` cover every vertex involved.
+    """
+    mask = horizon_mask
+    iso = kind is MorphismKind.ISOMORPHISM
+    if side == "extension":
+        mono = kind >= MorphismKind.MONOMORPHISM
+        for u, fu in pairs:
+            if rows[u] >> target & 1:
+                mask &= rows[fu]
+            elif iso:
+                mask &= ~(rows[fu] | 1 << fu)
+            elif mono:
+                mask &= ~(1 << fu)
+        return mask
+    for u, fu in pairs:
+        mask &= ~(1 << u)
+        if not rows[fu] >> target & 1:
+            mask &= ~rows[u]
+        elif iso:
+            mask &= rows[u]
+    return mask
+
+
 def enumerate_local_morphisms(
     g: FiniteGraph, x: MorphismKind, k: int
 ) -> Iterator[PartialMap]:
     """All maps of kind at least ``x`` with domain size ``1..k``, each exactly once.
 
-    Deterministic lexicographic order of ``(domain, image assignment)``.
+    Deterministic lexicographic order of ``(domain, image assignment)``.  Each
+    position's candidate values are one :func:`_step_mask` against the
+    pairs already assigned.
     """
     if k < 1:
         raise GraphError(f"max domain size must be at least 1, got {k}")
     n = g.n
     rows = g.rows
+    full = (1 << n) - 1
     for dom in _subsets_lex(n, min(k, n)):
         size = len(dom)
-        values = [0] * size
 
-        def rec(pos: int) -> Iterator[PartialMap]:
-            if pos == size:
-                yield PartialMap(tuple(zip(dom, values)))
+        def rec(pairs: tuple[tuple[int, int], ...]) -> Iterator[PartialMap]:
+            if len(pairs) == size:
+                yield PartialMap(pairs)
                 return
-            u = dom[pos]
-            for d in range(n):
-                ok = True
-                for q in range(pos):
-                    e = rows[dom[q]] >> u & 1
-                    fe = rows[values[q]] >> d & 1
-                    if e and not fe:
-                        ok = False
-                        break
-                    if x is MorphismKind.ISOMORPHISM and e != fe:
-                        ok = False
-                        break
-                    if x >= MorphismKind.MONOMORPHISM and values[q] == d:
-                        ok = False
-                        break
-                if ok:
-                    values[pos] = d
-                    yield from rec(pos + 1)
+            u = dom[len(pairs)]
+            mask = _step_mask(rows, pairs, u, "extension", x, full)
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                yield from rec(pairs + ((u, low.bit_length() - 1),))
 
-        yield from rec(0)
+        yield from rec(())
 
 
 def _subsets_lex(n: int, k: int) -> Iterator[tuple[int, ...]]:

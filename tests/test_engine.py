@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homext.engine import (
@@ -278,6 +278,87 @@ class TestAgainstNaiveOracle:
                         assert v.witness == witness, (gid, x, y)
 
 
+def _maps_from_definitions(g, pairs):
+    """(hom, injective, edge-reflecting) of a vertex map given as pairs."""
+    hom = reflecting = True
+    for (u, fu), (v, fv) in itertools.combinations(pairs, 2):
+        e, fe = g.adj(u, v), g.adj(fu, fv)
+        hom = hom and (fe or not e)
+        reflecting = reflecting and (e or not fe)
+    return hom, len({t for _, t in pairs}) == len(pairs), reflecting
+
+
+def reference_first_failures(g):
+    """First non-extendable local map per (x, y), from the definitions alone.
+
+    The kinds of all n^n total maps come from hom, injective, surjective and
+    edge-reflecting; a local map extends to kind y iff it is the restriction
+    of a total map of kind y.  Local maps are scanned in (size, domain,
+    values) order.  Nothing here assumes that the Y kinds coincide.
+    """
+    n = g.n
+    extends: dict[tuple, set] = {}
+    for t in itertools.product(range(n), repeat=n):
+        hom, injective, reflecting = _maps_from_definitions(g, tuple(enumerate(t)))
+        if not hom:
+            continue
+        surjective = len(set(t)) == n
+        kinds = {EndoKind.H}
+        if injective:
+            kinds.add(EndoKind.M)
+        if surjective:
+            kinds.add(EndoKind.E)
+        if injective and surjective:
+            kinds.add(EndoKind.B)
+        if injective and reflecting:
+            kinds.add(EndoKind.I)
+        if injective and surjective and reflecting:
+            kinds.add(EndoKind.A)
+        for mask in range(1, 1 << n):
+            key = tuple((v, t[v]) for v in range(n) if mask >> v & 1)
+            extends.setdefault(key, set()).update(kinds)
+    first = {}
+    for size in range(1, n + 1):
+        for dom in itertools.combinations(range(n), size):
+            for vals in itertools.product(range(n), repeat=size):
+                pairs = tuple(zip(dom, vals))
+                hom, injective, reflecting = _maps_from_definitions(g, pairs)
+                if not hom:
+                    continue
+                kind = H if not injective else I if reflecting else M
+                for x in X_KINDS:
+                    for y in Y_KINDS:
+                        if kind >= x and (x, y) not in first and y not in extends.get(pairs, ()):
+                            first[(x, y)] = PartialMap(pairs)
+    return first
+
+
+class TestAgainstTotalMaps:
+    """classify_finite's witnesses against first failures derived from total maps."""
+
+    @staticmethod
+    def check(g):
+        want = reference_first_failures(g)
+        mv = classify_finite(g)
+        for x in X_KINDS:
+            for y in Y_KINDS:
+                assert mv.entries[(x, y)].witness == want.get((x, y)), (g, x, y)
+
+    def test_every_labelled_graph_up_to_four_vertices(self):
+        for n in range(1, 5):
+            pairs = list(itertools.combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                self.check(FiniteGraph.from_edges(
+                    n, [p for i, p in enumerate(pairs) if bits >> i & 1]
+                ))
+
+    @settings(max_examples=30)
+    @given(st.integers(min_value=0, max_value=(1 << 10) - 1))
+    def test_labelled_graphs_on_five_vertices(self, bits):
+        pairs = list(itertools.combinations(range(5), 2))
+        self.check(FiniteGraph.from_edges(5, [p for i, p in enumerate(pairs) if bits >> i & 1]))
+
+
 class TestBackAndForth:
     def test_matching_oracle_never_sticks(self):
         o = composite(OMEGA, 2)
@@ -368,6 +449,12 @@ class TestDecideBounded:
         assert (v.bounds["maps"], v.bounds["stuck_uncertified"], len(v.witnesses)) == (
             378, 160, 169
         )
+
+    def test_window_beyond_horizon_on_matching(self):
+        # a certificate asks comp(w, 2) for cones over the empty set
+        v = decide_xy_bounded(composite(OMEGA, 2), I, EndoKind.I, k=2, window=6, horizon=4, depth=6)
+        assert v.status is Status.UNKNOWN
+        assert (v.bounds["maps"], v.bounds["stuck_uncertified"]) == (342, 212)
 
     def test_iso_to_embedding_failure_certified(self):
         # the modular family is not self-embedding homogeneous: an isomorphism

@@ -65,6 +65,10 @@ class TestBasicFamilies:
             for comp in connected_components(g):
                 assert induced_subgraph(g, comp).is_complete()
 
+    def test_composite_cones_over_nothing_unconfined(self):
+        # every vertex is a cone over the empty set, and comp(w, 2) has infinitely many
+        assert composite(OMEGA, 2).structure.cone_candidates(frozenset()) is None
+
 
 class TestRSFamily:
     def test_low_pair_adjacency_at_two(self):

@@ -23,15 +23,20 @@ K2 = complete(2)
 I2 = independent(2)
 
 
-def naive_local_morphisms(g, x, k):
-    """Independent double-loop enumeration: every domain, every value tuple."""
-    found = set()
+def naive_local_morphisms(g, k):
+    """Independent double-loop enumeration: every domain, every value tuple.
+
+    Returns ``(map, kind)`` for every map of kind at least homomorphism,
+    sorted by ``(domain, values)``.
+    """
+    found = []
     for dom in all_subsets(range(g.n), min(k, g.n)):
         for vals in itertools.product(range(g.n), repeat=len(dom)):
             f = PartialMap(tuple(zip(dom, vals)))
-            if classify_map(g, f) >= x:
-                found.add(f)
-    return found
+            kind = classify_map(g, f)
+            if kind >= MorphismKind.HOMOMORPHISM:
+                found.append((f, kind))
+    return sorted(found, key=lambda fk: (fk[0].domain, fk[0].values))
 
 
 class TestPartialMap:
@@ -106,11 +111,14 @@ class TestEnumeration:
         hom = set(enumerate_local_morphisms(g, MorphismKind.HOMOMORPHISM, 3))
         assert iso <= mono <= hom
 
-    @given(finite_graphs(max_n=4))
+    @given(finite_graphs(max_n=5))
     def test_against_naive_double_loop(self, g):
+        # the exact sequence, for every kind and every bound k <= n
+        naive = naive_local_morphisms(g, g.n)
         for x in (MorphismKind.ISOMORPHISM, MorphismKind.MONOMORPHISM, MorphismKind.HOMOMORPHISM):
-            fast = set(enumerate_local_morphisms(g, x, 3))
-            assert fast == naive_local_morphisms(g, x, 3)
+            for k in range(1, g.n + 1):
+                want = [f for f, kind in naive if kind >= x and len(f) <= k]
+                assert list(enumerate_local_morphisms(g, x, k)) == want
 
     def test_bad_bound(self):
         with pytest.raises(GraphError):
