@@ -488,7 +488,8 @@ def _finite_verdict(g: FiniteGraph, failures, x: MorphismKind, y: EndoKind) -> V
 @lru_cache(maxsize=4096)
 def _classified(g: FiniteGraph) -> MembershipVector:
     failures = _first_failures(g)
-    shared: dict[Verdict, Verdict] = {}  # equal verdicts share one object
+    # equal verdicts share one object, so the cached vectors stay small
+    shared: dict[Verdict, Verdict] = {}
     verdicts = (_finite_verdict(g, failures, x, y) for x, y in _XY_KEYS)
     return MembershipVector(dict(zip(_XY_KEYS, (shared.setdefault(v, v) for v in verdicts))))
 

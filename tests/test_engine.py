@@ -278,7 +278,7 @@ class TestAgainstNaiveOracle:
                         assert v.witness == witness, (gid, x, y)
 
 
-def _maps_from_definitions(g, pairs):
+def _map_properties(g, pairs):
     """(hom, injective, edge-reflecting) of a vertex map given as pairs."""
     hom = reflecting = True
     for (u, fu), (v, fv) in itertools.combinations(pairs, 2):
@@ -299,7 +299,7 @@ def reference_first_failures(g):
     n = g.n
     extends: dict[tuple, set] = {}
     for t in itertools.product(range(n), repeat=n):
-        hom, injective, reflecting = _maps_from_definitions(g, tuple(enumerate(t)))
+        hom, injective, reflecting = _map_properties(g, tuple(enumerate(t)))
         if not hom:
             continue
         surjective = len(set(t)) == n
@@ -322,7 +322,7 @@ def reference_first_failures(g):
         for dom in itertools.combinations(range(n), size):
             for vals in itertools.product(range(n), repeat=size):
                 pairs = tuple(zip(dom, vals))
-                hom, injective, reflecting = _maps_from_definitions(g, pairs)
+                hom, injective, reflecting = _map_properties(g, pairs)
                 if not hom:
                     continue
                 kind = H if not injective else I if reflecting else M
