@@ -7,6 +7,13 @@ Two partial orders compare age members: existence of a surjective
 homomorphism, and of a surjective monomorphism.  On those ingredients sit
 the closure criteria for extension-homogeneity, the four extension
 properties, and the independence/star statistics with their inequality.
+
+Every search inside a truncation runs on its bitset rows: the cones over a
+copy are one AND of rows, the co-cones one AND of complemented rows, and a
+star or dagger step takes its candidates from the engine's kernel
+:func:`~homext.morphisms._step_mask`.  Each call canonicalises one copy per
+labelled pattern it meets and keeps nothing afterwards.  Only an oracle step
+left without a candidate asks the declared structure and the predicate.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .graphs import (
     oracle_truncate,
 )
 from .engine import Status, Verdict
-from .morphisms import PartialMap, all_subsets
+from .morphisms import MorphismKind, PartialMap, _step_mask, all_subsets, enumerate_local_morphisms
 
 EMBEDDING_CAP = 500
 PROPERTY_NAMES = ("delta", "therefore", "star", "dagger")
@@ -95,23 +102,24 @@ def _as_source(source, horizon: int | None) -> _Source:
 def _cone_status(src: _Source, subset: tuple[int, ...], *, co: bool) -> tuple[bool, bool, int | None]:
     """(exists, definite_absence, witness) for cones (or co-cones) over a copy.
 
-    Existence is first searched inside the truncation, then asked of the
-    declared structure and verified pointwise against the predicate.
-    Definite absence needs either a finite graph or a complete candidate
-    list from the structure, every member of which fails.
+    Inside the truncation the cones over ``subset`` are one AND of its rows
+    (co-cones: of its complemented rows, each with its own bit cleared), and
+    the witness is the lowest set bit.  On a miss an oracle's declared
+    structure is asked for a witness, then for a complete candidate list,
+    each verified pointwise against the predicate.  Definite absence needs
+    either a finite graph or such a list, every member of which fails.
     """
-    g = src.trunc
-    sset = set(subset)
-    for v in range(g.n):
-        if v in sset:
-            continue
-        hits = sum(1 for u in subset if g.adj(u, v))
-        if (not co and hits == len(subset)) or (co and hits == 0):
-            return True, False, v
+    rows = src.trunc.rows
+    mask = (1 << len(rows)) - 1
+    for u in subset:
+        mask &= ~(rows[u] | 1 << u) if co else rows[u]
+    if mask:
+        return True, False, (mask & -mask).bit_length() - 1
     if src.finite:
         return False, True, None
     o = src.oracle
     structure = src.structure
+    sset = set(subset)
     assert o is not None
     if structure is not None:
         witness = (
@@ -152,45 +160,61 @@ def compute_age(
 ) -> list[AgeEntry]:
     """Isomorphism types of induced subgraphs of size up to ``k``, with flags.
 
-    Types are deduplicated by canonical form.  The four flags are settled per
-    copy: an existence flag turns Yes on the first verified cone/co-cone, an
-    absence flag turns Yes on the first copy whose candidate set is provably
-    exhausted.  A No needs every copy examined the other way, so exceeding
+    Types are deduplicated by canonical form, computed once per labelled
+    pattern (size and upper-triangle adjacency bits) met in this call.  The
+    four flags are settled per copy: an existence flag turns Yes on the first
+    verified cone/co-cone, an absence flag turns Yes on the first copy whose
+    candidate set is provably exhausted; once both cone flags (or both
+    co-cone flags) of a type are Yes, its later copies skip that search.  A
+    No needs every copy examined the other way, so exceeding
     ``embedding_cap`` copies downgrades the universally quantified side to
     Unknown.
     """
-    src = _as_source(source, horizon)
+    return _age_table(_as_source(source, horizon), k, embedding_cap)
+
+
+def _age_table(src: _Source, k: int, embedding_cap: int) -> list[AgeEntry]:
+    if k < 1:
+        raise GraphError(f"age bound must be at least 1, got {k}")
     g = src.trunc
+    rows = g.rows
     entries: dict[FiniteGraph, AgeEntry] = {}
-    capped: set[FiniteGraph] = set()
+    # labelled pattern -> entry; kept for this call only
+    by_pattern: dict[tuple[int, int], AgeEntry] = {}
     for subset in all_subsets(range(g.n), min(k, g.n)):
-        canon, _ = canonical_form(induced_subgraph(g, subset))
-        entry = entries.get(canon)
+        bits = 0
+        for i, u in enumerate(subset):
+            r = rows[u]
+            for v in subset[i + 1 :]:
+                bits = bits << 1 | (r >> v & 1)
+        entry = by_pattern.get((len(subset), bits))
         if entry is None:
-            entry = AgeEntry(canon, canon.n, 0)
-            entries[canon] = entry
+            canon, _ = canonical_form(induced_subgraph(g, subset))
+            entry = entries.setdefault(canon, AgeEntry(canon, canon.n, 0))
+            by_pattern[len(subset), bits] = entry
         entry.copies += 1
         if entry.copies > embedding_cap:
-            capped.add(canon)
             continue
-        has_cone, no_cone_definite, _ = _cone_status(src, subset, co=False)
-        has_cocone, no_cocone_definite, _ = _cone_status(src, subset, co=True)
-        if has_cone and entry.kk is not Flag.YES:
-            entry.kk = Flag.YES
-            entry.coned_copy = subset
-        if no_cone_definite and entry.okk is not Flag.YES:
-            entry.okk = Flag.YES
-            entry.cone_free_copy = subset
-        if has_cocone and entry.hh is not Flag.YES:
-            entry.hh = Flag.YES
-            entry.coconed_copy = subset
-        if no_cocone_definite and entry.ohh is not Flag.YES:
-            entry.ohh = Flag.YES
-            entry.cocone_free_copy = subset
-    for canon, entry in entries.items():
+        if entry.kk is not Flag.YES or entry.okk is not Flag.YES:
+            has_cone, no_cone_definite, _ = _cone_status(src, subset, co=False)
+            if has_cone and entry.kk is not Flag.YES:
+                entry.kk = Flag.YES
+                entry.coned_copy = subset
+            if no_cone_definite and entry.okk is not Flag.YES:
+                entry.okk = Flag.YES
+                entry.cone_free_copy = subset
+        if entry.hh is not Flag.YES or entry.ohh is not Flag.YES:
+            has_cocone, no_cocone_definite, _ = _cone_status(src, subset, co=True)
+            if has_cocone and entry.hh is not Flag.YES:
+                entry.hh = Flag.YES
+                entry.coconed_copy = subset
+            if no_cocone_definite and entry.ohh is not Flag.YES:
+                entry.ohh = Flag.YES
+                entry.cocone_free_copy = subset
+    for entry in entries.values():
         # On a fully scanned finite source the flags are exhaustive: a flag
         # still Unknown means its existential never fired on any copy.
-        if src.finite and canon not in capped:
+        if src.finite and entry.copies <= embedding_cap:
             for attr in ("kk", "okk", "hh", "ohh"):
                 if getattr(entry, attr) is Flag.UNKNOWN:
                     setattr(entry, attr, Flag.NO)
@@ -353,7 +377,7 @@ def check_criterion(
     if which not in ("HH", "HE", "ME"):
         raise GraphError(f"unknown criterion {which!r}")
     src = _as_source(source, horizon)
-    entries = compute_age(source, k, horizon=horizon, embedding_cap=embedding_cap)
+    entries = _age_table(src, k, embedding_cap)
     conditions = [
         (
             "coned and cone-free age members disjoint",
@@ -407,56 +431,54 @@ class PropertyReport:
 
 
 def _find_cone_like(
-    src: _Source,
-    need_adjacent: tuple[int, ...],
-    need_nonadjacent: tuple[int, ...],
-    excluded: set[int],
-    horizon: int,
-    *,
-    injective_avoid: set[int] | None = None,
+    src: _Source, pairs: tuple[tuple[int, int], ...], target: int, side: str
 ) -> tuple[int | None, bool]:
-    """(witness, definite_absence) for a vertex matching adjacency demands.
+    """(witness, definite_absence) beyond the truncation for one oracle step.
 
-    Searches the horizon first; on a miss, asks the structure for a complete
-    candidate list (confinement) to certify absence, or a constructive
-    witness beyond the horizon.
+    Called once the truncation holds no candidate.  On the extension side the
+    new image of ``target`` must be adjacent to the images of its neighbours
+    in the domain and avoid the image; on the preimage side a new preimage of
+    ``target`` must be non-adjacent to the domain vertices whose images miss
+    ``target``, and avoid the domain.  The structure's complete candidate
+    list (confinement) certifies absence; otherwise its constructive witness
+    is checked against the predicate.
     """
-    g = src.trunc
-    avoid = excluded if injective_avoid is None else excluded | injective_avoid
-
-    def matches(v: int, via_oracle: bool) -> bool:
-        if v in avoid:
-            return False
-        adj = src.oracle.adj if via_oracle else g.adj
-        return all(adj(v, u) for u in need_adjacent) and not any(
-            adj(v, u) for u in need_nonadjacent
-        )
-
-    for v in range(min(horizon, g.n) if src.finite else horizon):
-        if matches(v, False):
-            return v, False
-    if src.finite:
-        return None, True
+    o = src.oracle
     structure = src.structure
-    if structure is not None:
-        cands = None
-        if need_adjacent:
-            cands = structure.cone_candidates(frozenset(need_adjacent))
-        if cands is None and need_nonadjacent:
-            cands = structure.cocone_candidates(frozenset(need_nonadjacent))
-        if cands is not None:
-            for v in cands:
-                if matches(v, True):
-                    return v, False
-            return None, True
-        if not need_nonadjacent and need_adjacent:
-            w = structure.cone_witness(frozenset(need_adjacent))
-            if w is not None and matches(w, True):
-                return w, False
-        if not need_adjacent and need_nonadjacent:
-            w = structure.cocone_witness(frozenset(need_nonadjacent))
-            if w is not None and matches(w, True):
-                return w, False
+    assert o is not None
+    if structure is None:
+        return None, False
+    co = side == "preimage"
+    g = src.trunc
+    if co:
+        need = tuple(u for u, fu in pairs if not g.adj(fu, target))
+        avoid = {u for u, _ in pairs}
+    else:
+        need = tuple(fu for u, fu in pairs if g.adj(u, target))
+        avoid = {fu for _, fu in pairs}
+    if not need:
+        return None, False
+
+    def matches(v: int) -> bool:
+        return v not in avoid and all(o.adj(v, u) != co for u in need)
+
+    cands = (
+        structure.cocone_candidates(frozenset(need))
+        if co
+        else structure.cone_candidates(frozenset(need))
+    )
+    if cands is not None:
+        for v in cands:
+            if matches(v):
+                return v, False
+        return None, True
+    w = (
+        structure.cocone_witness(frozenset(need))
+        if co
+        else structure.cone_witness(frozenset(need))
+    )
+    if w is not None and matches(w):
+        return w, False
     return None, False
 
 
@@ -471,10 +493,13 @@ def check_property(
     """Bounded check of one of the four extension properties.
 
     ``delta``: every subset of size up to ``k`` has a cone; ``therefore``:
-    a co-cone.  ``star``: every surjective local monomorphism with domain
-    size up to ``k`` extends one domain vertex at a time (image-side vertex
-    outside the current image); ``dagger``: every surjective local
-    homomorphism accepts a preimage for every vertex outside its image.
+    a co-cone (both one AND of rows per subset, see :func:`_cone_status`).
+    ``star``: every surjective local monomorphism with domain size up to
+    ``k`` extends one domain vertex at a time (image-side vertex outside the
+    current image); ``dagger``: every surjective local homomorphism accepts
+    a preimage for every vertex outside its image.  The candidates of each
+    star or dagger step inside the truncation are one
+    :func:`~homext.morphisms._step_mask`, the kernel the engine uses.
 
     Finite graphs get definite verdicts for the bounded quantifiers.  For
     oracles, subsets and map domains range over ``window`` and searches over
@@ -489,6 +514,7 @@ def check_property(
     g = src.trunc
     search_bound = g.n if src.finite else (horizon or g.n)
     domain_bound = g.n if src.finite else min(window or 8, g.n)
+    certificate = None if src.finite else "confined candidate list exhausted"
     cases = 0
     unwitnessed = 0
     if which in ("delta", "therefore"):
@@ -505,42 +531,37 @@ def check_property(
                         Status.FAILS,
                         witness=PartialMap(tuple((u, u) for u in subset)),
                         note=f"no {'co-cone' if co else 'cone'} over {subset}",
-                        certificate=None if src.finite else "confined candidate list exhausted",
+                        certificate=certificate,
                     ),
                     cases,
                     unwitnessed,
                 )
             unwitnessed += 1
-        if src.finite:
-            return PropertyReport(which, Verdict(Status.HOLDS), cases, unwitnessed)
-        return PropertyReport(
-            which,
-            Verdict(Status.UNKNOWN, bounds={"k": k, "horizon": horizon, "window": domain_bound}),
-            cases,
-            unwitnessed,
+    else:
+        # star / dagger quantify over surjective local morphisms
+        if src.finite and g.n > 12:
+            raise GraphError(
+                f"{which} on a finite graph enumerates all local maps; n={g.n} exceeds 12"
+            )
+        star = which == "star"
+        want, side = (
+            (MorphismKind.MONOMORPHISM, "extension")
+            if star
+            else (MorphismKind.HOMOMORPHISM, "preimage")
         )
-    # star / dagger quantify over surjective local morphisms
-    from .morphisms import MorphismKind, enumerate_local_morphisms
-
-    if src.finite and g.n > 12:
-        raise GraphError(
-            f"{which} on a finite graph enumerates all local maps; n={g.n} exceeds 12"
-        )
-    want = MorphismKind.MONOMORPHISM if which == "star" else MorphismKind.HOMOMORPHISM
-    window_graph = induced_subgraph(g, range(domain_bound))
-    for f in enumerate_local_morphisms(window_graph, want, min(k, domain_bound)):
-        dom = set(f.domain)
-        img = set(f.image)
-        pairs = f.pairs
-        if which == "star":
-            # one new domain vertex; its image must avoid the current image
-            for c in range(domain_bound):
-                if c in dom:
+        search_mask = (1 << search_bound) - 1
+        window_graph = induced_subgraph(g, range(domain_bound))
+        for f in enumerate_local_morphisms(window_graph, want, min(k, domain_bound)):
+            # star extends a new domain vertex, dagger finds a new preimage
+            fixed, avoid = (f.domain, f.image) if star else (f.image, f.domain)
+            for t in range(domain_bound):
+                if t in fixed:
                     continue
                 cases += 1
-                need_adj = tuple(fu for u, fu in pairs if g.adj(u, c))
-                witness, definite = _find_cone_like(
-                    src, need_adj, (), set(), search_bound, injective_avoid=img
+                if _step_mask(g.rows, f.pairs, t, side, want, search_mask):
+                    continue
+                witness, definite = (
+                    (None, True) if src.finite else _find_cone_like(src, f.pairs, t, side)
                 )
                 if witness is not None:
                     continue
@@ -550,37 +571,10 @@ def check_property(
                         Verdict(
                             Status.FAILS,
                             witness=f,
-                            stuck=c,
-                            stuck_side="extension",
-                            note=f"no image for {c} outside {sorted(img)}",
-                            certificate=None if src.finite else "confined candidate list exhausted",
-                        ),
-                        cases,
-                        unwitnessed,
-                    )
-                unwitnessed += 1
-        else:
-            # a preimage for every vertex outside the image
-            for b in range(domain_bound):
-                if b in img:
-                    continue
-                cases += 1
-                need_nonadj = tuple(u for u, fu in pairs if not g.adj(fu, b))
-                witness, definite = _find_cone_like(
-                    src, (), need_nonadj, dom, search_bound
-                )
-                if witness is not None:
-                    continue
-                if definite:
-                    return PropertyReport(
-                        which,
-                        Verdict(
-                            Status.FAILS,
-                            witness=f,
-                            stuck=b,
-                            stuck_side="preimage",
-                            note=f"no preimage for {b} outside {sorted(dom)}",
-                            certificate=None if src.finite else "confined candidate list exhausted",
+                            stuck=t,
+                            stuck_side=side,
+                            note=f"no {'image' if star else 'preimage'} for {t} outside {sorted(avoid)}",
+                            certificate=certificate,
                         ),
                         cases,
                         unwitnessed,

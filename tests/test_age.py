@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from homext.age import (
+    AgeEntry,
     Flag,
     age_report,
     alpha,
@@ -29,7 +30,14 @@ from homext.generators import (
     rado_plus_dominating_oracle,
     rs_graph,
 )
-from homext.graphs import FiniteGraph, canonical_form, complement, oracle_truncate
+from homext.graphs import (
+    FiniteGraph,
+    GraphError,
+    canonical_form,
+    complement,
+    induced_subgraph,
+    oracle_truncate,
+)
 from homext.morphisms import EndoKind, PartialMap
 
 from conftest import random_graph
@@ -68,6 +76,50 @@ class TestComputeAge:
     def test_copies_counted(self):
         entries = compute_age(complete(4), 2)
         assert entry_by_graph(entries, complete(2)).copies == 6
+
+
+def reference_age(g, k, cap):
+    """One canonical form per subset and a per-vertex adjacency scan for cones."""
+    entries = {}
+    for size in range(1, min(k, g.n) + 1):
+        for subset in itertools.combinations(range(g.n), size):
+            canon = canonical_form(induced_subgraph(g, subset))[0]
+            e = entries.setdefault(canon, AgeEntry(canon, canon.n, 0))
+            e.copies += 1
+            if e.copies > cap:
+                continue
+            outside = [v for v in range(g.n) if v not in subset]
+            cone = any(all(g.adj(u, v) for u in subset) for v in outside)
+            cocone = any(not any(g.adj(u, v) for u in subset) for v in outside)
+            for found, flag, copy in (
+                (cone, "kk", "coned_copy"),
+                (not cone, "okk", "cone_free_copy"),
+                (cocone, "hh", "coconed_copy"),
+                (not cocone, "ohh", "cocone_free_copy"),
+            ):
+                if found and getattr(e, flag) is not Flag.YES:
+                    setattr(e, flag, Flag.YES)
+                    setattr(e, copy, subset)
+    for e in entries.values():
+        if e.copies <= cap:
+            for flag in ("kk", "okk", "hh", "ohh"):
+                if getattr(e, flag) is Flag.UNKNOWN:
+                    setattr(e, flag, Flag.NO)
+    return sorted(entries.values(), key=lambda e: (e.size, to_graph6(e.graph)))
+
+
+class TestAgainstReference:
+    @given(finite_graphs(max_n=9), st.integers(1, 4), st.sampled_from([2, 500]))
+    def test_entries_equal_per_subset_scan(self, g, k, cap):
+        # every field: flags, copies and the four witness copies
+        assert compute_age(g, k, embedding_cap=cap) == reference_age(g, k, cap)
+
+    def test_bound_below_one_rejected(self):
+        g = FiniteGraph.from_edges(3, [(0, 1)])
+        with pytest.raises(GraphError):
+            compute_age(g, 0)
+        with pytest.raises(GraphError):
+            check_criterion(g, "HH", 0)
 
 
 class TestConeFlags:

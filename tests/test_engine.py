@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homext.age import PROPERTY_NAMES, check_criterion, check_property, compute_age
 from homext.engine import (
     Status,
     back_and_forth,
@@ -146,6 +147,15 @@ class TestMalformedOracles:
             one_step_extension(o, f, 2, H, horizon=16)
         with pytest.raises(GraphError):
             one_step_preimage(o, f, 2, H, horizon=16)
+
+    def test_age_layer_raises(self, o):
+        with pytest.raises(GraphError):
+            compute_age(o, 2, horizon=16)
+        with pytest.raises(GraphError):
+            check_criterion(o, "HH", 2, horizon=16)
+        for which in PROPERTY_NAMES:
+            with pytest.raises(GraphError):
+                check_property(o, which, 2, horizon=16, window=4)
 
 
 class TestExtendFinite:
