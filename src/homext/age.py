@@ -431,7 +431,7 @@ class PropertyReport:
 
 
 def _find_cone_like(
-    src: _Source, pairs: tuple[tuple[int, int], ...], target: int, side: str
+    src: _Source, f: PartialMap, target: int, side: str
 ) -> tuple[int | None, bool]:
     """(witness, definite_absence) beyond the truncation for one oracle step.
 
@@ -451,11 +451,10 @@ def _find_cone_like(
     co = side == "preimage"
     g = src.trunc
     if co:
-        need = tuple(u for u, fu in pairs if not g.adj(fu, target))
-        avoid = {u for u, _ in pairs}
+        need = tuple(u for u, fu in f.pairs if not g.adj(fu, target))
     else:
-        need = tuple(fu for u, fu in pairs if g.adj(u, target))
-        avoid = {fu for _, fu in pairs}
+        need = tuple(fu for u, fu in f.pairs if g.adj(u, target))
+    avoid = f.domain if co else f.image
     if not need:
         return None, False
 
@@ -512,7 +511,6 @@ def check_property(
         raise GraphError(f"property bound must be at least 1, got {k}")
     src = _as_source(source, horizon)
     g = src.trunc
-    search_bound = g.n if src.finite else (horizon or g.n)
     domain_bound = g.n if src.finite else min(window or 8, g.n)
     certificate = None if src.finite else "confined candidate list exhausted"
     cases = 0
@@ -549,7 +547,7 @@ def check_property(
             if star
             else (MorphismKind.HOMOMORPHISM, "preimage")
         )
-        search_mask = (1 << search_bound) - 1
+        search_mask = (1 << g.n) - 1  # an oracle's truncation ends at the horizon
         window_graph = induced_subgraph(g, range(domain_bound))
         for f in enumerate_local_morphisms(window_graph, want, min(k, domain_bound)):
             # star extends a new domain vertex, dagger finds a new preimage
@@ -561,7 +559,7 @@ def check_property(
                 if _step_mask(g.rows, f.pairs, t, side, want, search_mask):
                     continue
                 witness, definite = (
-                    (None, True) if src.finite else _find_cone_like(src, f.pairs, t, side)
+                    (None, True) if src.finite else _find_cone_like(src, f, t, side)
                 )
                 if witness is not None:
                     continue
