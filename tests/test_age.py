@@ -77,6 +77,13 @@ class TestComputeAge:
         entries = compute_age(complete(4), 2)
         assert entry_by_graph(entries, complete(2)).copies == 6
 
+    def test_bound_below_one_rejected(self):
+        g = FiniteGraph.from_edges(3, [(0, 1)])
+        with pytest.raises(GraphError):
+            compute_age(g, 0)
+        with pytest.raises(GraphError):
+            check_criterion(g, "HH", 0)
+
 
 def reference_age(g, k, cap):
     """One canonical form per subset and a per-vertex adjacency scan for cones."""
@@ -113,13 +120,6 @@ class TestAgainstReference:
     def test_entries_equal_per_subset_scan(self, g, k, cap):
         # every field: flags, copies and the four witness copies
         assert compute_age(g, k, embedding_cap=cap) == reference_age(g, k, cap)
-
-    def test_bound_below_one_rejected(self):
-        g = FiniteGraph.from_edges(3, [(0, 1)])
-        with pytest.raises(GraphError):
-            compute_age(g, 0)
-        with pytest.raises(GraphError):
-            check_criterion(g, "HH", 0)
 
 
 class TestConeFlags:
