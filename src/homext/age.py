@@ -13,7 +13,10 @@ copy are one AND of rows, the co-cones one AND of complemented rows, and a
 star or dagger step takes its candidates from the engine's kernel
 :func:`~homext.morphisms._step_mask`.  Each call canonicalises one copy per
 labelled pattern it meets and keeps nothing afterwards.  Only an oracle step
-left without a candidate asks the declared structure and the predicate.
+left without a candidate in the truncation looks past it, through the
+engine's one helper :func:`~homext.engine._past_truncation`: the declared
+structure is asked for complete candidate lists first, then for a witness,
+and the predicate about the listed vertices and the witness.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from .graphs import (
     max_independent_set_size,
     oracle_truncate,
 )
-from .engine import Status, Verdict
-from .morphisms import MorphismKind, PartialMap, _step_mask, all_subsets, enumerate_local_morphisms
+from .engine import Status, Verdict, _check_bounds, _past_truncation
+from .morphisms import MorphismKind, PartialMap, _step_mask, _step_sets
+from .morphisms import all_subsets, enumerate_local_morphisms
 
 EMBEDDING_CAP = 500
 PROPERTY_NAMES = ("delta", "therefore", "star", "dagger")
@@ -84,10 +88,6 @@ class _Source:
     def finite(self) -> bool:
         return self.oracle is None
 
-    @property
-    def structure(self):
-        return None if self.oracle is None else self.oracle.structure
-
 
 def _as_source(source, horizon: int | None) -> _Source:
     if isinstance(source, FiniteGraph):
@@ -99,56 +99,26 @@ def _as_source(source, horizon: int | None) -> _Source:
     raise GraphError(f"unsupported source {source!r}")
 
 
-def _cone_status(src: _Source, subset: tuple[int, ...], *, co: bool) -> tuple[bool, bool, int | None]:
-    """(exists, definite_absence, witness) for cones (or co-cones) over a copy.
+def _cone_status(src: _Source, subset: tuple[int, ...], *, co: bool) -> tuple[bool, bool]:
+    """(exists, definite_absence) for cones (or co-cones) over a copy.
 
     Inside the truncation the cones over ``subset`` are one AND of its rows
-    (co-cones: of its complemented rows, each with its own bit cleared), and
-    the witness is the lowest set bit.  On a miss an oracle's declared
-    structure is asked for a witness, then for a complete candidate list,
-    each verified pointwise against the predicate.  Definite absence needs
-    either a finite graph or such a list, every member of which fails.
+    (co-cones: of its complemented rows, each with its own bit cleared).  On
+    a miss an oracle is asked past its truncation through the engine's
+    :func:`~homext.engine._past_truncation`.  Definite absence needs either a
+    finite graph or a complete candidate list, every member of which fails.
     """
     rows = src.trunc.rows
     mask = (1 << len(rows)) - 1
     for u in subset:
         mask &= ~(rows[u] | 1 << u) if co else rows[u]
     if mask:
-        return True, False, (mask & -mask).bit_length() - 1
+        return True, False
     if src.finite:
-        return False, True, None
-    o = src.oracle
-    structure = src.structure
-    sset = set(subset)
-    assert o is not None
-    if structure is not None:
-        witness = (
-            structure.cocone_witness(frozenset(subset))
-            if co
-            else structure.cone_witness(frozenset(subset))
-        )
-        if witness is not None and witness not in sset:
-            good = all(
-                (not o.adj(witness, u)) if co else o.adj(witness, u) for u in subset
-            )
-            if good:
-                return True, False, witness
-        cands = (
-            structure.cocone_candidates(frozenset(subset))
-            if co
-            else structure.cone_candidates(frozenset(subset))
-        )
-        if cands is not None:
-            for v in cands:
-                if v in sset:
-                    continue
-                ok = all(
-                    (not o.adj(v, u)) if co else o.adj(v, u) for u in subset
-                )
-                if ok:
-                    return True, False, v
-            return False, True, None
-    return False, False, None
+        return False, True
+    s, none = frozenset(subset), frozenset()
+    live, confined = _past_truncation(src.oracle, none if co else s, s if co else none, s)
+    return live, confined is not None
 
 
 def compute_age(
@@ -196,7 +166,7 @@ def _age_table(src: _Source, k: int, embedding_cap: int) -> list[AgeEntry]:
         if entry.copies > embedding_cap:
             continue
         if entry.kk is not Flag.YES or entry.okk is not Flag.YES:
-            has_cone, no_cone_definite, _ = _cone_status(src, subset, co=False)
+            has_cone, no_cone_definite = _cone_status(src, subset, co=False)
             if has_cone and entry.kk is not Flag.YES:
                 entry.kk = Flag.YES
                 entry.coned_copy = subset
@@ -204,7 +174,7 @@ def _age_table(src: _Source, k: int, embedding_cap: int) -> list[AgeEntry]:
                 entry.okk = Flag.YES
                 entry.cone_free_copy = subset
         if entry.hh is not Flag.YES or entry.ohh is not Flag.YES:
-            has_cocone, no_cocone_definite, _ = _cone_status(src, subset, co=True)
+            has_cocone, no_cocone_definite = _cone_status(src, subset, co=True)
             if has_cocone and entry.hh is not Flag.YES:
                 entry.hh = Flag.YES
                 entry.coconed_copy = subset
@@ -430,57 +400,6 @@ class PropertyReport:
         return self.unwitnessed == 0 and self.verdict.status is not Status.FAILS
 
 
-def _find_cone_like(
-    src: _Source, f: PartialMap, target: int, side: str
-) -> tuple[int | None, bool]:
-    """(witness, definite_absence) beyond the truncation for one oracle step.
-
-    Called once the truncation holds no candidate.  On the extension side the
-    new image of ``target`` must be adjacent to the images of its neighbours
-    in the domain and avoid the image; on the preimage side a new preimage of
-    ``target`` must be non-adjacent to the domain vertices whose images miss
-    ``target``, and avoid the domain.  The structure's complete candidate
-    list (confinement) certifies absence; otherwise its constructive witness
-    is checked against the predicate.
-    """
-    o = src.oracle
-    structure = src.structure
-    assert o is not None
-    if structure is None:
-        return None, False
-    co = side == "preimage"
-    g = src.trunc
-    if co:
-        need = tuple(u for u, fu in f.pairs if not g.adj(fu, target))
-    else:
-        need = tuple(fu for u, fu in f.pairs if g.adj(u, target))
-    avoid = f.domain if co else f.image
-    if not need:
-        return None, False
-
-    def matches(v: int) -> bool:
-        return v not in avoid and all(o.adj(v, u) != co for u in need)
-
-    cands = (
-        structure.cocone_candidates(frozenset(need))
-        if co
-        else structure.cone_candidates(frozenset(need))
-    )
-    if cands is not None:
-        for v in cands:
-            if matches(v):
-                return v, False
-        return None, True
-    w = (
-        structure.cocone_witness(frozenset(need))
-        if co
-        else structure.cone_witness(frozenset(need))
-    )
-    if w is not None and matches(w):
-        return w, False
-    return None, False
-
-
 def check_property(
     source,
     which: str,
@@ -504,14 +423,17 @@ def check_property(
     oracles, subsets and map domains range over ``window`` and searches over
     ``horizon``; failures are definite only under a confinement certificate,
     and a clean sweep reports UnknownAtBound with the all-witnessed count.
+    An oracle's window or horizon below 1 raises :class:`GraphError`.
     """
     if which not in PROPERTY_NAMES:
         raise GraphError(f"unknown property {which!r}")
     if k < 1:
         raise GraphError(f"property bound must be at least 1, got {k}")
+    if not isinstance(source, FiniteGraph):
+        _check_bounds(horizon=horizon, window=window)
     src = _as_source(source, horizon)
     g = src.trunc
-    domain_bound = g.n if src.finite else min(window or 8, g.n)
+    domain_bound = g.n if src.finite else min(8 if window is None else window, g.n)
     certificate = None if src.finite else "confined candidate list exhausted"
     cases = 0
     unwitnessed = 0
@@ -519,7 +441,7 @@ def check_property(
         co = which == "therefore"
         for subset in all_subsets(range(domain_bound), min(k, domain_bound)):
             cases += 1
-            exists, definite_absence, _ = _cone_status(src, subset, co=co)
+            exists, definite_absence = _cone_status(src, subset, co=co)
             if exists:
                 continue
             if definite_absence:
@@ -558,12 +480,12 @@ def check_property(
                 cases += 1
                 if _step_mask(g.rows, f.pairs, t, side, want, search_mask):
                     continue
-                witness, definite = (
-                    (None, True) if src.finite else _find_cone_like(src, f, t, side)
+                live, confined = (False, True) if src.finite else _past_truncation(
+                    src.oracle, *_step_sets(g.rows, f.pairs, t, side, want)
                 )
-                if witness is not None:
+                if live:
                     continue
-                if definite:
+                if confined:
                     return PropertyReport(
                         which,
                         Verdict(

@@ -10,10 +10,12 @@ asks two memoized backtracking extenders (H and A) about them, and stops
 once the first failure of each of the six (X, H or A) pairs is known; the
 18 verdicts are read off those.  For oracle graphs a back-and-forth schedule
 reads the bitset rows of one truncation, so a malformed (asymmetric or
-reflexive) oracle raises GraphError; the predicate is called again only for
-certificate candidates beyond the horizon.  A negative verdict is definite
-only when the stuck step's candidate set is provably confined to a finite
-list by the generator's declared structure, otherwise it is UnknownAtBound.
+reflexive) oracle raises GraphError.  Past the truncation one helper, shared
+with the age layer, asks the generator's declared structure: complete
+candidate lists first, then a witness; the predicate is then asked only
+about the listed vertices and the witness.  A negative verdict is definite
+only when the stuck step's candidates are confined to such a list and every
+one fails, otherwise it is UnknownAtBound.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .morphisms import (
     X_NAMES,
     Y_KINDS,
     _step_mask,
+    _step_sets,
     classify_map,
     enumerate_local_morphisms,
 )
@@ -135,20 +138,6 @@ class MembershipVector:
         )
 
 
-def _pair_ok(g, f_pairs, s: int, t: int, kind: MorphismKind) -> bool:
-    # constraints the new pair (s, t) adds against every existing pair
-    for u, fu in f_pairs:
-        e = g.adj(u, s)
-        fe = g.adj(fu, t)
-        if e and not fe:
-            return False
-        if kind is MorphismKind.ISOMORPHISM and e != fe:
-            return False
-        if kind >= MorphismKind.MONOMORPHISM and (fu == t or u == s):
-            return False
-    return True
-
-
 def _truncation(o: OracleGraph, f: PartialMap, *sizes: int) -> FiniteGraph:
     """Truncation of ``o`` covering every vertex of ``f`` and each of ``sizes``."""
     return oracle_truncate(o, max((*sizes, *(v + 1 for pair in f.pairs for v in pair))))
@@ -192,26 +181,6 @@ def one_step_preimage(
 # Exact finite decisions
 
 
-def _map_is_hom_compatible(g: FiniteGraph, pairs) -> bool:
-    for i in range(len(pairs)):
-        u, fu = pairs[i]
-        for j in range(i + 1, len(pairs)):
-            v, fv = pairs[j]
-            if g.adj(u, v) and not g.adj(fu, fv):
-                return False
-    return True
-
-
-def _map_is_iso_compatible(g: FiniteGraph, pairs) -> bool:
-    for i in range(len(pairs)):
-        u, fu = pairs[i]
-        for j in range(i + 1, len(pairs)):
-            v, fv = pairs[j]
-            if g.adj(u, v) != g.adj(fu, fv):
-                return False
-    return True
-
-
 def extend_finite(g: FiniteGraph, f: PartialMap, y: EndoKind) -> tuple[int, ...] | None:
     """A total endomorphism of kind ``y`` extending ``f``, or ``None``.
 
@@ -228,11 +197,7 @@ def extend_finite(g: FiniteGraph, f: PartialMap, y: EndoKind) -> tuple[int, ...]
     for s, t in f.pairs:
         if not (0 <= s < n and 0 <= t < n):
             raise GraphError(f"map pair ({s}, {t}) out of range for n={n}")
-    if y.needs_injective and not f.is_injective():
-        return None
-    if not _map_is_hom_compatible(g, f.pairs):
-        return None
-    if y.preserves_nonedges and not _map_is_iso_compatible(g, f.pairs):
+    if classify_map(g, f) < y.required_kind:
         return None
 
     assign: list[int] = [-1] * n
@@ -316,20 +281,12 @@ def total_endo_kinds(g: FiniteGraph, total: Iterable[int]) -> set[EndoKind]:
     t = tuple(total)
     if len(t) != g.n:
         raise GraphError("total map must assign every vertex")
-    pairs = tuple(zip(range(g.n), t))
-    if not _map_is_hom_compatible(g, pairs):
-        return set()
-    kinds = {EndoKind.H}
-    injective = len(set(t)) == g.n  # equivalently surjective, on a finite self-map
-    iso = _map_is_iso_compatible(g, pairs)
-    if injective:
-        kinds.add(EndoKind.M)
-        kinds.add(EndoKind.B)
-        kinds.add(EndoKind.E)
-    if iso and injective:
-        kinds.add(EndoKind.I)
-        kinds.add(EndoKind.A)
-    return kinds
+    kind = classify_map(g, PartialMap(tuple(enumerate(t))))
+    # on a finite graph a surjective self-map is injective, so E needs a monomorphism
+    return {
+        y for y in EndoKind
+        if kind >= y.required_kind and (kind >= MorphismKind.MONOMORPHISM or not y.needs_surjective)
+    }
 
 
 class _YExtender:
@@ -556,51 +513,49 @@ class ExtensionTrace:
         return self.outcome == "stuck"
 
 
-def _certified_exhaustion(
-    o: OracleGraph, rows, pairs, target: int, side: str, kind: MorphismKind
-) -> str | None:
-    """Certificate that a stuck step has no candidate anywhere in the oracle.
+def _check_bounds(*, horizon=None, depth=None, window=None) -> None:
+    # a bound below its least value would sweep nothing and report a vacuous unknown
+    for name, value, least in (("horizon", horizon, 1), ("depth", depth, 0), ("window", window, 1)):
+        if value is not None and value < least:
+            raise GraphError(f"{name} must be at least {least}, got {value}")
 
-    The declared structure may confine the step's candidates to a finite
-    list: for a preimage of ``b`` every candidate must avoid the domain
-    vertices whose images are non-neighbors of ``b``; for an extension of
-    ``c`` every candidate must be adjacent to the images of the domain
-    neighbors of ``c``.  If a complete candidate list comes back and every
-    member fails the actual one-step test, the failure is
-    horizon-independent.  Listed candidates may lie beyond ``rows``, so
-    they are tested with the oracle's predicate.
+
+def _past_truncation(
+    o: OracleGraph, pos: frozenset[int], neg: frozenset[int], skip: frozenset[int],
+    *, cocones_first: bool = False,
+) -> tuple[bool, str | None]:
+    """Is there a vertex outside ``skip`` adjacent to all of ``pos`` and none of ``neg``?
+
+    Asked once a truncation holds no such vertex, so the answer comes from
+    the oracle's declared structure.  Complete candidate lists are asked
+    first: cones over ``pos``, then co-cones over ``neg`` (the other way
+    round with ``cocones_first``), never over an empty set, since in an
+    infinite graph every vertex is a cone and a co-cone over nothing.  Each
+    listed vertex is tested with the predicate: ``(True, None)`` if one
+    passes, else ``(False, "<cones|co-cones> over [...] = [...]")``, a
+    horizon-independent confinement.  Without a list the structure's witness
+    for the first set asked is tested, and no certificate is possible.
     """
+    asks = [(False, pos), (True, neg)]
+    if cocones_first:
+        asks.reverse()
+    asks = [(co, s) for co, s in asks if s]
     structure = o.structure
-    if structure is None:
-        return None
-    if side == "preimage":
-        avoid = frozenset(u for u, fu in pairs if not rows[fu] >> target & 1)
-        cands = structure.cocone_candidates(avoid)
-        desc = f"co-cones over {sorted(avoid)}"
-        if cands is None and kind is MorphismKind.ISOMORPHISM:
-            need = frozenset(u for u, fu in pairs if rows[fu] >> target & 1)
-            cands = structure.cone_candidates(need)
-            desc = f"cones over {sorted(need)}"
-        if cands is None:
-            return None
-        dom = {u for u, _ in pairs}
-        for a in cands:
-            if a not in dom and _pair_ok(o, pairs, a, target, kind):
-                return None  # a live candidate exists beyond the horizon
-        return f"preimage of {target} confined to {desc} = {sorted(cands)}; exhausted"
-    need = frozenset(fu for u, fu in pairs if rows[u] >> target & 1)
-    cands = structure.cone_candidates(need)
-    desc = f"cones over {sorted(need)}"
-    if cands is None and kind is MorphismKind.ISOMORPHISM:
-        avoid = frozenset(fu for u, fu in pairs if not rows[u] >> target & 1)
-        cands = structure.cocone_candidates(avoid)
-        desc = f"co-cones over {sorted(avoid)}"
-    if cands is None:
-        return None
-    for d in cands:
-        if _pair_ok(o, pairs, target, d, kind):
-            return None
-    return f"image of {target} confined to {desc} = {sorted(cands)}; exhausted"
+    if structure is None or not asks:
+        return False, None
+
+    def live(v: int) -> bool:
+        return v not in skip and all(o.adj(v, u) for u in pos) and not any(o.adj(v, u) for u in neg)
+
+    for co, s in asks:
+        listed = structure.cocone_candidates(s) if co else structure.cone_candidates(s)
+        if listed is not None:
+            if any(map(live, listed)):
+                return True, None
+            return False, f"{'co-cones' if co else 'cones'} over {sorted(s)} = {sorted(listed)}"
+    co, s = asks[0]
+    w = structure.cocone_witness(s) if co else structure.cone_witness(s)
+    return w is not None and live(w), None
 
 
 def back_and_forth(
@@ -631,9 +586,11 @@ def back_and_forth(
 
     The schedule reads the rows of one truncation of ``o`` (to the horizon
     and every vertex of ``f``), so each step's candidates are one AND of
-    rows; an asymmetric or reflexive ``o`` raises :class:`GraphError`.  The
-    predicate is called again only on the candidates a certificate lists.
+    rows; an asymmetric or reflexive ``o`` raises :class:`GraphError`, and so
+    does a horizon below 1 or a negative depth.  A stuck step is looked at
+    past the truncation through :func:`_past_truncation`.
     """
+    _check_bounds(horizon=horizon, depth=depth)
     t = _truncation(o, f, horizon)
     return _back_and_forth(
         o, t.rows, f, y, f_kind=classify_map(t, f), depth=depth, horizon=horizon, x=x
@@ -679,7 +636,13 @@ def _back_and_forth(
             trace.stuck_side = side
             # certified only if the step is stuck at the weaker kind cert_kind too
             if not _step_mask(rows, pairs, target, side, cert_kind, horizon_mask):
-                trace.certificate = _certified_exhaustion(o, rows, pairs, target, side, cert_kind)
+                _, confined = _past_truncation(
+                    o, *_step_sets(rows, pairs, target, side, cert_kind),
+                    cocones_first=side == "preimage",
+                )
+                if confined:
+                    where = "preimage" if side == "preimage" else "image"
+                    trace.certificate = f"{where} of {target} confined to {confined}; exhausted"
             break
         v = (mask & -mask).bit_length() - 1
         pair = (v, target) if side == "preimage" else (target, v)
@@ -711,8 +674,10 @@ def decide_xy_bounded(
     those prefix maps, and ``details`` pairs each with its starting map and
     trace.  Uncertified stuck steps only contribute to the UnknownAtBound
     accounting.  One truncation, to ``max(horizon, window)``, serves every
-    schedule (see :func:`back_and_forth`).
+    schedule (see :func:`back_and_forth`).  A window or horizon below 1 or a
+    negative depth raises :class:`GraphError`.
     """
+    _check_bounds(horizon=horizon, depth=depth, window=window)
     window = min(horizon, DEFAULT_WINDOW) if window is None else window
     t = oracle_truncate(o, max(horizon, window))
     definite: list[tuple[PartialMap, ExtensionTrace]] = []

@@ -7,8 +7,12 @@ answers two kinds of questions the raw predicate cannot:
 * confinement: a provably complete finite candidate list for the cones
   (common neighbors) or co-cones (common non-neighbors) of a finite vertex
   set, when the family's shape confines them;
-* witnesses: a concrete cone/co-cone vertex, possibly beyond any truncation,
-  which callers then verify pointwise against the predicate.
+* witnesses: a concrete cone/co-cone vertex, possibly beyond any truncation.
+
+One helper, :func:`homext.engine._past_truncation`, shared by the bounded
+engine and the age layer, asks these questions: complete lists first, then a
+witness.  The predicate is then asked about the listed vertices and the
+witness, so a structure is trusted only for the completeness of its lists.
 
 All generators are deterministic given their parameters and seed.
 """
@@ -90,9 +94,6 @@ class CompositeStructure(GraphStructure):
         if self.m == OMEGA:
             return v // int(self.n)
         return v % int(self.m)
-
-    def block_members_bounded(self, b: int, bound: int) -> list[int]:
-        return [v for v in range(bound) if self.block(v) == b]
 
     def cone_candidates(self, zset: frozenset[int]) -> list[int] | None:
         blocks = {self.block(v) for v in zset}
@@ -269,21 +270,16 @@ def rado_bit() -> OracleGraph:
 class DominatedRadoStructure(GraphStructure):
     """BIT graph shifted up by one plus the dominating vertex 0."""
 
-    base: RadoBitStructure = RadoBitStructure()
-
     def cone_witness(self, hset: frozenset[int]) -> int | None:
         if 0 not in hset:
             return 0
-        inner = frozenset(h - 1 for h in hset if h > 0)
-        w = self.base.cone_witness(inner)
-        return None if w is None else w + 1
+        # the BIT witness over the shifted set, shifted back
+        return (sum(1 << (h - 1) for h in hset if h > 0) or 1) + 1
 
     def cocone_witness(self, hset: frozenset[int]) -> int | None:
         if 0 in hset:
             return None  # nothing avoids the dominating vertex
-        inner = frozenset(h - 1 for h in hset)
-        w = self.base.cocone_witness(inner)
-        return None if w is None else w + 1
+        return (1 << max(hset, default=1)) + 1
 
     def cocone_candidates(self, wset: frozenset[int]) -> list[int] | None:
         if 0 in wset:

@@ -273,12 +273,6 @@ def relabel(g: FiniteGraph, perm: Sequence[int]) -> FiniteGraph:
     return FiniteGraph(g.n, tuple(rows))
 
 
-def are_isomorphic(a: FiniteGraph, b: FiniteGraph, *, cap: int = CANONICAL_CAP) -> bool:
-    if a.n != b.n or a.m != b.m:
-        return False
-    return canonical_form(a, cap=cap)[0] == canonical_form(b, cap=cap)[0]
-
-
 def max_clique_size(g: FiniteGraph, *, stop_at: int | None = None) -> int:
     """Exact clique number by branch and bound on neighbor masks.
 

@@ -210,6 +210,23 @@ def _step_mask(rows, pairs, target: int, side: str, kind, horizon_mask: int) -> 
     return mask
 
 
+def _step_sets(rows, pairs, target: int, side: str, kind) -> tuple[frozenset[int], ...]:
+    """The set form of :func:`_step_mask`, for candidates anywhere in the graph:
+    ``(pos, neg, skip)`` such that a vertex is a candidate exactly when it lies
+    outside ``skip``, is adjacent to every vertex of ``pos`` and to none of
+    ``neg``.  ``rows`` cover ``target`` and every vertex of the map.
+    """
+    iso = kind is MorphismKind.ISOMORPHISM
+    if side == "extension":
+        mono = kind >= MorphismKind.MONOMORPHISM
+        pos = frozenset(fu for u, fu in pairs if rows[u] >> target & 1)
+        neg = frozenset(fu for u, fu in pairs if iso and not rows[u] >> target & 1)
+        return pos, neg, frozenset(fu for _, fu in pairs if mono)
+    pos = frozenset(u for u, fu in pairs if iso and rows[fu] >> target & 1)
+    neg = frozenset(u for u, fu in pairs if not rows[fu] >> target & 1)
+    return pos, neg, frozenset(u for u, _ in pairs)
+
+
 def enumerate_local_morphisms(
     g: FiniteGraph, x: MorphismKind, k: int
 ) -> Iterator[PartialMap]:

@@ -141,6 +141,10 @@ class TestCli:
         assert main(["age", "--gen", "comp", "2", "3", "--k", "0"]) == 2
         assert "at least 1" in capsys.readouterr().err
 
+    def test_check_rejects_window_below_one(self, capsys):
+        assert main(["check", "delta", "--gen", "rs", "3", "--k", "2", "--window", "-1"]) == 2
+        assert "at least 1" in capsys.readouterr().err
+
     def test_check_property(self, capsys):
         assert main(["check", "delta", "--gen", "k", "6", "--k", "3"]) == 0
         assert main(["check", "delta", "--gen", "i", "3", "--k", "2"]) == 1

@@ -412,6 +412,11 @@ class TestBackAndForth:
         with pytest.raises(GraphError):
             back_and_forth(o, collapse, EndoKind.B, depth=4, horizon=20)
 
+    @pytest.mark.parametrize("bound,value", [("horizon", 0), ("depth", -1)])
+    def test_out_of_range_bounds_rejected(self, bound, value):
+        with pytest.raises(GraphError):
+            back_and_forth(rs_graph(3), PartialMap(((0, 0),)), EndoKind.H, **{bound: value})
+
 
 class TestDecideBounded:
     def test_never_holds(self):
@@ -465,6 +470,30 @@ class TestDecideBounded:
         v = decide_xy_bounded(composite(OMEGA, 2), I, EndoKind.I, k=2, window=6, horizon=4, depth=6)
         assert v.status is Status.UNKNOWN
         assert (v.bounds["maps"], v.bounds["stuck_uncertified"]) == (342, 212)
+
+    @pytest.mark.parametrize("y", [EndoKind.I, EndoKind.A])
+    def test_iso_image_step_falls_back_to_cocones(self, y):
+        # rs(2) lists no cones over [0], so the image of 2 is confined by the
+        # co-cones over its non-neighbour's image
+        v = decide_xy_bounded(rs_graph(2), I, y, k=2, window=4, horizon=32, depth=12)
+        assert v.report_line(I, y) == (
+            f"FAIL X=I Y={y.value} map=0->2,1->0 stuck=2 certificate=image of 2 "
+            "confined to co-cones over [2] = [0, 1]; exhausted"
+        )
+
+    @pytest.mark.parametrize(
+        "bound,value", [("window", -1), ("window", 0), ("horizon", 0), ("depth", -2)]
+    )
+    def test_out_of_range_bounds_rejected(self, bound, value):
+        # each of these used to sweep nothing, or ignore the bound, and pass silently
+        with pytest.raises(GraphError):
+            decide_xy_bounded(rs_graph(3), I, EndoKind.I, k=2, **{bound: value})
+
+    @pytest.mark.parametrize("which", PROPERTY_NAMES)
+    @pytest.mark.parametrize("bound,value", [("window", -3), ("window", 0), ("horizon", 0)])
+    def test_oracle_property_bounds_rejected(self, which, bound, value):
+        with pytest.raises(GraphError):
+            check_property(rs_graph(3), which, 2, **{"horizon": 16, bound: value})
 
     def test_iso_to_embedding_failure_certified(self):
         # the modular family is not self-embedding homogeneous: an isomorphism

@@ -1,6 +1,9 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homext.generators import (
     OMEGA,
@@ -68,6 +71,61 @@ class TestBasicFamilies:
     def test_composite_cones_over_nothing_unconfined(self):
         # every vertex is a cone over the empty set, and comp(w, 2) has infinitely many
         assert composite(OMEGA, 2).structure.cone_candidates(frozenset()) is None
+
+
+# every oracle family with a declared structure, checked against its predicate
+STRUCTURED = {
+    "rs(2)": rs_graph(2),
+    "rs(3)": rs_graph(3),
+    "rs(4)": rs_graph(4),
+    "rado": rado_bit(),
+    "radoplus": rado_plus_dominating_oracle(),
+    "comp(w,2)": composite(OMEGA, 2),
+    "comp(2,w)": composite(2, OMEGA),
+    "comp(w,w)": composite(OMEGA, OMEGA),
+    "comp(w,3)": composite(OMEGA, 3),
+    "comp(3,w)": composite(3, OMEGA),
+}
+CONTRACT_TRUNCATION = 300
+small_sets = st.frozensets(st.integers(0, 23), min_size=1, max_size=4)
+
+
+@functools.lru_cache(maxsize=None)
+def _contract_rows(name):
+    return oracle_truncate(STRUCTURED[name], CONTRACT_TRUNCATION).rows
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURED))
+class TestDeclaredStructures:
+    """The contract a certificate rests on: a candidate list holds every true
+    cone (co-cone) outside the set, and a witness is a genuine one."""
+
+    @settings(max_examples=150)
+    @given(small_sets)
+    def test_candidate_lists_are_complete(self, name, s):
+        structure, rows = STRUCTURED[name].structure, _contract_rows(name)
+        outside = [v for v in range(CONTRACT_TRUNCATION) if v not in s]
+        cones = {v for v in outside if all(rows[v] >> u & 1 for u in s)}
+        cocones = {v for v in outside if not any(rows[v] >> u & 1 for u in s)}
+        listed = structure.cone_candidates(s)
+        assert listed is None or cones <= set(listed)
+        listed = structure.cocone_candidates(s)
+        assert listed is None or cocones <= set(listed)
+
+    @settings(max_examples=150)
+    @given(small_sets)
+    def test_witnesses_are_genuine(self, name, s):
+        o = STRUCTURED[name]
+        w = o.structure.cone_witness(s)
+        assert w is None or (w not in s and all(o.adj(w, u) for u in s))
+        w = o.structure.cocone_witness(s)
+        assert w is None or (w not in s and not any(o.adj(w, u) for u in s))
+
+    def test_nothing_listed_over_the_empty_set(self, name):
+        # in an infinite graph every vertex is a cone and a co-cone over nothing
+        structure = STRUCTURED[name].structure
+        assert structure.cone_candidates(frozenset()) is None
+        assert structure.cocone_candidates(frozenset()) is None
 
 
 class TestRSFamily:
