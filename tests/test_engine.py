@@ -25,13 +25,15 @@ from homext.generators import (
     rado_plus_dominating_oracle,
     rs_graph,
 )
-from homext.graphs import FiniteGraph, GraphError, OracleGraph
+from homext.graphs import FiniteGraph, GraphError, OracleGraph, oracle_truncate
 from homext.morphisms import (
     EndoKind,
     MorphismKind,
     PartialMap,
     X_KINDS,
     Y_KINDS,
+    _step_mask,
+    _step_sets,
     classify_map,
 )
 
@@ -119,6 +121,19 @@ class TestOneStepOnOracles:
             if a not in f.domain and classify_map(o, f.extended(a, b)) >= kind
         )
         assert one_step_preimage(o, f, b, kind, horizon=STEP_HORIZON) == expected
+
+    @given(oracle_maps(), st.integers(0, 15), st.sampled_from(["extension", "preimage"]))
+    def test_step_sets_are_the_set_form_of_the_kernel(self, drawn, target, side):
+        # the sets a certificate is taken over select exactly the kernel's candidates
+        o, kind, f = drawn
+        if target in (f.domain if side == "extension" else f.values):
+            return
+        rows = oracle_truncate(o, 16).rows
+        pos, neg, skip = _step_sets(rows, f.pairs, target, side, kind)
+        mask = _step_mask(rows, f.pairs, target, side, kind, (1 << 16) - 1)
+        for v in range(16):
+            expected = v not in skip and all(o.adj(v, u) for u in pos)
+            assert bool(mask >> v & 1) == (expected and not any(o.adj(v, u) for u in neg))
 
     def test_oracle_needs_a_horizon(self):
         with pytest.raises(GraphError):
