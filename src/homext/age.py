@@ -95,6 +95,7 @@ def _as_source(source, horizon: int | None) -> _Source:
     if isinstance(source, OracleGraph):
         if horizon is None:
             raise GraphError("oracle age analysis needs a horizon")
+        _check_bounds(horizon=horizon)
         return _Source(oracle_truncate(source, horizon), source)
     raise GraphError(f"unsupported source {source!r}")
 
@@ -430,7 +431,7 @@ def check_property(
     if k < 1:
         raise GraphError(f"property bound must be at least 1, got {k}")
     if not isinstance(source, FiniteGraph):
-        _check_bounds(horizon=horizon, window=window)
+        _check_bounds(window=window)  # the horizon is checked with the source
     src = _as_source(source, horizon)
     g = src.trunc
     domain_bound = g.n if src.finite else min(8 if window is None else window, g.n)

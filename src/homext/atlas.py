@@ -19,22 +19,23 @@ from .graphs import FiniteGraph, GraphError, canonical_form
 
 ATLAS_SCHEMA = "homext-atlas/1"
 ENUMERATION_CAP = 7
+_CLASSES: dict[int, tuple[FiniteGraph, ...]] = {}  # the corpus on n vertices
 
 
 def graphs_of_size(n: int) -> list[FiniteGraph]:
-    """Canonical representatives of all isomorphism classes on ``n`` vertices."""
+    """A fresh list of the canonical class representatives on ``n`` vertices, memoised per ``n``."""
     if n < 1:
         raise GraphError(f"size must be positive, got {n}")
     if n > ENUMERATION_CAP:
         raise GraphError(f"exhaustive enumeration beyond {ENUMERATION_CAP} vertices")
-    pairs = list(itertools.combinations(range(n), 2))
-    seen: dict[FiniteGraph, None] = {}
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
-        g = FiniteGraph.from_edges(n, edges)
-        canon, _ = canonical_form(g)
-        seen.setdefault(canon, None)
-    return sorted(seen, key=to_graph6)
+    if n not in _CLASSES:
+        pairs = list(itertools.combinations(range(n), 2))
+        seen: dict[FiniteGraph, None] = {}
+        for mask in range(1 << len(pairs)):
+            edges = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
+            seen.setdefault(canonical_form(FiniteGraph.from_edges(n, edges))[0], None)
+        _CLASSES[n] = tuple(sorted(seen, key=to_graph6))
+    return list(_CLASSES[n])
 
 
 def corpus_upto(n_max: int) -> list[tuple[str, FiniteGraph]]:

@@ -10,12 +10,12 @@ asks two memoized backtracking extenders (H and A) about them, and stops
 once the first failure of each of the six (X, H or A) pairs is known; the
 18 verdicts are read off those.  For oracle graphs a back-and-forth schedule
 reads the bitset rows of one truncation, so a malformed (asymmetric or
-reflexive) oracle raises GraphError.  Past the truncation one helper, shared
-with the age layer, asks the generator's declared structure: complete
-candidate lists first, then a witness; the predicate is then asked only
-about the listed vertices and the witness.  A negative verdict is definite
-only when the stuck step's candidates are confined to such a list and every
-one fails, otherwise it is UnknownAtBound.
+reflexive) oracle raises GraphError.  Past the truncation the schedule asks
+the generator's declared structure for complete candidate lists only (the
+list half of the helper shared with the age layer), and the predicate only
+about the listed vertices.  A negative verdict is definite only when the
+stuck step's candidates are confined to such a list and every one fails,
+otherwise it is UnknownAtBound.
 """
 
 from __future__ import annotations
@@ -144,6 +144,7 @@ def _truncation(o: OracleGraph, f: PartialMap, *sizes: int) -> FiniteGraph:
 
 
 def _one_step(g, f: PartialMap, target: int, side: str, kind, horizon) -> tuple[int, ...]:
+    _check_bounds(horizon=horizon)
     if isinstance(g, FiniteGraph):
         t, horizon_mask = g, (1 << g.n) - 1
     elif horizon is None:
@@ -424,31 +425,31 @@ def _first_failures(g: FiniteGraph) -> dict[tuple[MorphismKind, EndoKind], Parti
     return failures
 
 
-def _finite_verdict(g: FiniteGraph, failures, x: MorphismKind, y: EndoKind) -> Verdict:
-    witness = failures.get((x, EndoKind.H if y is EndoKind.H else EndoKind.A))
-    if witness is None:
-        return _HOLDS
-    dom = witness.domain
-    stuck = None
-    step_kind = y.required_kind
-    if classify_map(g, witness) >= step_kind:
-        for c in range(g.n):
-            if c in dom:
-                continue
-            if not one_step_extension(g, witness, c, step_kind):
-                stuck = c
-                break
-    note = _component_confinement_note(g, dom, witness.values, y)
-    return Verdict(Status.FAILS, witness=witness, stuck=stuck, note=note)
-
-
 @lru_cache(maxsize=4096)
 def _classified(g: FiniteGraph) -> MembershipVector:
-    failures = _first_failures(g)
-    # equal verdicts share one object, so the cached vectors stay small
-    shared: dict[Verdict, Verdict] = {}
-    verdicts = (_finite_verdict(g, failures, x, y) for x, y in _XY_KEYS)
-    return MembershipVector(dict(zip(_XY_KEYS, (shared.setdefault(v, v) for v in verdicts))))
+    """The 18 verdicts from the witnesses of one :func:`_first_failures` pass,
+    with one ``stuck`` per distinct (witness, step kind) and one note per
+    distinct (witness, surjective target); equal verdicts share one object.
+    """
+    failures, full = _first_failures(g), (1 << g.n) - 1
+    stucks, notes, shared = {}, {}, {}  # keyed as above; shared maps a verdict to itself
+    verdicts = []
+    for x, y in _XY_KEYS:
+        w = failures.get((x, EndoKind.H if y is EndoKind.H else EndoKind.A))
+        if w is None:
+            verdicts.append(_HOLDS)
+            continue
+        kind, surj, dom = y.required_kind, y.needs_surjective, w.domain
+        if (w, kind) not in stucks:  # the least vertex outside the domain without a candidate
+            outside = [c for c in range(g.n) if c not in dom] if classify_map(g, w) >= kind else []
+            stucks[w, kind] = next((
+                c for c in outside if not _step_mask(g.rows, w.pairs, c, "extension", kind, full)
+            ), None)
+        if (w, surj) not in notes:
+            notes[w, surj] = _component_confinement_note(g, dom, w.values, y)
+        v = Verdict(Status.FAILS, witness=w, stuck=stucks[w, kind], note=notes[w, surj])
+        verdicts.append(shared.setdefault(v, v))
+    return MembershipVector(dict(zip(_XY_KEYS, verdicts)))
 
 
 def decide_xy_finite(
@@ -456,14 +457,13 @@ def decide_xy_finite(
 ) -> Verdict:
     """Exact verdict: does every local morphism of kind ``x`` extend to kind ``y``?
 
-    Exhaustive over all local morphisms (every domain size); failures carry
-    the first non-extendable map in (size, domain, images) order, so the
-    witness has minimal domain.  The sweep is streamed and stops once the
-    first failures of all six (X, H or A) pairs are known; Y in I, M, E, B
-    shares A's witness, since on a finite graph I = M = E = B = A as
-    extension targets (the ``stuck`` step and ``note`` still follow ``y``).
-    Graph size is capped (default :data:`DECIDE_CAP`) because a sweep that
-    does not stop early enumerates every local morphism.
+    Exhaustive over all local morphisms in (size, domain, images) order, so a
+    failure's witness is the first non-extendable map, of minimal domain.  The
+    streamed sweep stops once the first failures of the six (X, H or A) pairs
+    are known; Y in I, M, E, B shares A's witness (I = M = E = B = A as finite
+    extension targets), and the verdict's ``stuck`` and ``note`` follow ``y``.
+    Size is capped (default :data:`DECIDE_CAP`): a sweep that does not stop
+    early enumerates every local morphism.
     """
     if g.n > cap:
         raise GraphError(f"exact decision for n={g.n} exceeds cap {cap}")
@@ -471,11 +471,11 @@ def decide_xy_finite(
 
 
 def classify_finite(g: FiniteGraph, *, cap: int = DECIDE_CAP) -> MembershipVector:
-    """All 18 verdicts at once, from one streamed first-failure pass.
+    """All 18 verdicts at once, built from the witnesses of one streamed pass.
 
     The pass stops once the first failures of the six (X, H or A) pairs are
     known; I, M, E and B read A's, by the finite identity I = M = E = B = A.
-    Equal verdicts within the vector share one object.
+    One ``stuck`` and one note per distinct witness; equal verdicts share one object.
     """
     if g.n > cap:
         raise GraphError(f"exact classification for n={g.n} exceeds cap {cap}")
@@ -520,6 +520,23 @@ def _check_bounds(*, horizon=None, depth=None, window=None) -> None:
             raise GraphError(f"{name} must be at least {least}, got {value}")
 
 
+def _live(o: OracleGraph, v: int, pos, neg, skip) -> bool:
+    return v not in skip and all(o.adj(v, u) for u in pos) and not any(o.adj(v, u) for u in neg)
+
+
+def _listed_past_truncation(o: OracleGraph, pos, neg, skip, cocones_first: bool):
+    """The list half of :func:`_past_truncation`: its answer from the first
+    complete candidate list the structure declares, or ``None`` without one."""
+    for co, s in [(True, neg), (False, pos)] if cocones_first else [(False, pos), (True, neg)]:
+        listed = None if o.structure is None or not s else (
+            o.structure.cocone_candidates(s) if co else o.structure.cone_candidates(s))
+        if listed is not None:
+            if any(_live(o, v, pos, neg, skip) for v in listed):
+                return True, None
+            return False, f"{'co-cones' if co else 'cones'} over {sorted(s)} = {sorted(listed)}"
+    return None
+
+
 def _past_truncation(
     o: OracleGraph, pos: frozenset[int], neg: frozenset[int], skip: frozenset[int],
     *, cocones_first: bool = False,
@@ -536,26 +553,13 @@ def _past_truncation(
     horizon-independent confinement.  Without a list the structure's witness
     for the first set asked is tested, and no certificate is possible.
     """
-    asks = [(False, pos), (True, neg)]
-    if cocones_first:
-        asks.reverse()
-    asks = [(co, s) for co, s in asks if s]
-    structure = o.structure
-    if structure is None or not asks:
-        return False, None
-
-    def live(v: int) -> bool:
-        return v not in skip and all(o.adj(v, u) for u in pos) and not any(o.adj(v, u) for u in neg)
-
-    for co, s in asks:
-        listed = structure.cocone_candidates(s) if co else structure.cone_candidates(s)
-        if listed is not None:
-            if any(map(live, listed)):
-                return True, None
-            return False, f"{'co-cones' if co else 'cones'} over {sorted(s)} = {sorted(listed)}"
-    co, s = asks[0]
-    w = structure.cocone_witness(s) if co else structure.cone_witness(s)
-    return w is not None and live(w), None
+    found = _listed_past_truncation(o, pos, neg, skip, cocones_first)
+    co = bool(neg) if cocones_first else not pos  # is the first non-empty set asked neg?
+    s = neg if co else pos
+    if found is None and o.structure is not None and s:
+        w = o.structure.cocone_witness(s) if co else o.structure.cone_witness(s)
+        found = w is not None and _live(o, w, pos, neg, skip), None
+    return found or (False, None)
 
 
 def back_and_forth(
@@ -588,7 +592,7 @@ def back_and_forth(
     and every vertex of ``f``), so each step's candidates are one AND of
     rows; an asymmetric or reflexive ``o`` raises :class:`GraphError`, and so
     does a horizon below 1 or a negative depth.  A stuck step is looked at
-    past the truncation through :func:`_past_truncation`.
+    past the truncation through :func:`_listed_past_truncation`.
     """
     _check_bounds(horizon=horizon, depth=depth)
     t = _truncation(o, f, horizon)
@@ -636,10 +640,10 @@ def _back_and_forth(
             trace.stuck_side = side
             # certified only if the step is stuck at the weaker kind cert_kind too
             if not _step_mask(rows, pairs, target, side, cert_kind, horizon_mask):
-                _, confined = _past_truncation(
-                    o, *_step_sets(rows, pairs, target, side, cert_kind),
-                    cocones_first=side == "preimage",
-                )
+                # only a complete list can confine, so no witness is asked for
+                _, confined = _listed_past_truncation(
+                    o, *_step_sets(rows, pairs, target, side, cert_kind), side == "preimage"
+                ) or (True, None)
                 if confined:
                     where = "preimage" if side == "preimage" else "image"
                     trace.certificate = f"{where} of {target} confined to {confined}; exhausted"

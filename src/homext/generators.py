@@ -9,10 +9,11 @@ answers two kinds of questions the raw predicate cannot:
   set, when the family's shape confines them;
 * witnesses: a concrete cone/co-cone vertex, possibly beyond any truncation.
 
-One helper, :func:`homext.engine._past_truncation`, shared by the bounded
-engine and the age layer, asks these questions: complete lists first, then a
-witness.  The predicate is then asked about the listed vertices and the
-witness, so a structure is trusted only for the completeness of its lists.
+One helper, :func:`homext.engine._past_truncation`, asks these questions:
+complete lists first, then a witness (the bounded engine asks only its list
+half, since only a list certifies).  The predicate is then asked about the
+listed vertices and the witness, so a structure is trusted only for the
+completeness of its lists.
 
 All generators are deterministic given their parameters and seed.
 """

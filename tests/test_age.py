@@ -84,6 +84,14 @@ class TestComputeAge:
         with pytest.raises(GraphError):
             check_criterion(g, "HH", 0)
 
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_oracle_horizon_below_one_rejected(self, horizon):
+        # horizon 0 used to give an empty age and an unknown-at-bound criterion
+        with pytest.raises(GraphError):
+            compute_age(rs_graph(3), 2, horizon=horizon)
+        with pytest.raises(GraphError):
+            check_criterion(rs_graph(3), "HH", 2, horizon=horizon)
+
 
 def reference_age(g, k, cap):
     """One canonical form per subset and a per-vertex adjacency scan for cones."""

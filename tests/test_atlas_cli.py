@@ -35,6 +35,14 @@ class TestEnumeration:
         with pytest.raises(GraphError):
             graphs_of_size(8)
 
+    def test_repeated_calls_give_equal_independent_lists(self):
+        first = graphs_of_size(4)
+        first.append(complete(2))
+        second = graphs_of_size(4)
+        assert second == first[:-1] and len(second) == 11
+        second.clear()
+        assert graphs_of_size(4) == first[:-1]
+
 
 class TestAtlasRecords:
     def test_single_vertex_all_holds(self):
@@ -139,6 +147,10 @@ class TestCli:
 
     def test_age_command_rejects_bound_below_one(self, capsys):
         assert main(["age", "--gen", "comp", "2", "3", "--k", "0"]) == 2
+        assert "at least 1" in capsys.readouterr().err
+
+    def test_age_command_rejects_horizon_below_one(self, capsys):
+        assert main(["age", "--gen", "rs", "3", "--k", "2", "--horizon", "0"]) == 2
         assert "at least 1" in capsys.readouterr().err
 
     def test_check_rejects_window_below_one(self, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from homext.age import PROPERTY_NAMES, check_criterion, check_property, compute_age
 from homext.engine import (
     Status,
+    _component_confinement_note,
     back_and_forth,
     classify_finite,
     decide_xy_bounded,
@@ -138,6 +140,15 @@ class TestOneStepOnOracles:
     def test_oracle_needs_a_horizon(self):
         with pytest.raises(GraphError):
             one_step_extension(rs_graph(3), PartialMap(((0, 0),)), 1, H)
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_rejected(self, horizon):
+        # horizon 0 used to return no candidates vacuously, -1 a ValueError
+        f = PartialMap(((0, 0),))
+        with pytest.raises(GraphError):
+            one_step_extension(rs_graph(3), f, 1, H, horizon=horizon)
+        with pytest.raises(GraphError):
+            one_step_preimage(rs_graph(3), f, 1, H, horizon=horizon)
 
 
 # symmetric and loop-free on 0..4, so every window-4 starting map is sound;
@@ -384,6 +395,49 @@ class TestAgainstTotalMaps:
         self.check(FiniteGraph.from_edges(5, [p for i, p in enumerate(pairs) if bits >> i & 1]))
 
 
+def _labelled(n, bits):
+    pairs = list(itertools.combinations(range(n), 2))
+    return FiniteGraph.from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+
+
+class TestStuckAndNote:
+    """Each FAIL's ``stuck`` and ``note`` against the public one-step call and
+    the component note, asked about the verdict's own witness."""
+
+    @staticmethod
+    def check(g):
+        for (x, y), v in classify_finite(g).entries.items():
+            if not v.fails:
+                continue
+            w, kind = v.witness, y.required_kind
+            stuck = None
+            if classify_map(g, w) >= kind:
+                stuck = next(
+                    (c for c in range(g.n)
+                     if c not in w.domain and one_step_extension(g, w, c, kind) == ()),
+                    None,
+                )
+            assert v.stuck == stuck, (g, x, y)
+            assert v.note == _component_confinement_note(g, w.domain, w.values, y), (g, x, y)
+
+    def test_every_labelled_graph_up_to_five_vertices(self):
+        graphs = [_labelled(n, bits) for n in range(1, 6) for bits in range(1 << n * (n - 1) // 2)]
+        assert len(graphs) == 1099
+        for g in graphs:
+            self.check(g)
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_drawn_graphs_on_six_and_seven_vertices(self, data):
+        # seven-vertex graphs keep 8-13 of their 21 edges, as the benchmark's
+        # do: the sparsest and densest classes take seconds each (DECIDE_CAP)
+        n = data.draw(st.sampled_from((6, 7)))
+        size = 15 if n == 6 else 21
+        lo, hi = (0, size) if n == 6 else (8, 13)
+        edges = data.draw(st.sets(st.integers(0, size - 1), min_size=lo, max_size=hi))
+        self.check(_labelled(n, sum(1 << i for i in edges)))
+
+
 class TestBackAndForth:
     def test_matching_oracle_never_sticks(self):
         o = composite(OMEGA, 2)
@@ -431,6 +485,19 @@ class TestBackAndForth:
     def test_out_of_range_bounds_rejected(self, bound, value):
         with pytest.raises(GraphError):
             back_and_forth(rs_graph(3), PartialMap(((0, 0),)), EndoKind.H, **{bound: value})
+
+
+class _ListsOnly:
+    """A declared structure whose witness rules must not be asked."""
+
+    def __init__(self, inner):
+        self.cone_candidates = inner.cone_candidates
+        self.cocone_candidates = inner.cocone_candidates
+
+    def cone_witness(self, s):
+        raise AssertionError(f"witness asked over {sorted(s)}")
+
+    cocone_witness = cone_witness
 
 
 class TestDecideBounded:
@@ -509,6 +576,19 @@ class TestDecideBounded:
     def test_oracle_property_bounds_rejected(self, which, bound, value):
         with pytest.raises(GraphError):
             check_property(rs_graph(3), which, 2, **{"horizon": 16, bound: value})
+
+    @pytest.mark.parametrize("name", ["rado", "radoplus", "comp"])
+    def test_stuck_steps_ask_no_witness(self, name):
+        # only a complete list confines a stuck step, so a witness answer
+        # could never become a certificate
+        o = STEP_ORACLES[name]
+        listless = dataclasses.replace(o, structure=_ListsOnly(o.structure))
+        for x in X_KINDS:
+            for y in Y_KINDS:
+                bounds = dict(k=2, window=4, horizon=16, depth=8)
+                assert decide_xy_bounded(listless, x, y, **bounds).report_line(x, y) == (
+                    decide_xy_bounded(o, x, y, **bounds).report_line(x, y)
+                )
 
     def test_iso_to_embedding_failure_certified(self):
         # the modular family is not self-embedding homogeneous: an isomorphism
