@@ -526,7 +526,8 @@ def _live(o: OracleGraph, v: int, pos, neg, skip) -> bool:
 
 def _listed_past_truncation(o: OracleGraph, pos, neg, skip, cocones_first: bool):
     """The list half of :func:`_past_truncation`: its answer from the first
-    complete candidate list the structure declares, or ``None`` without one."""
+    complete candidate list the structure declares, or ``(False, None)``
+    without one."""
     for co, s in [(True, neg), (False, pos)] if cocones_first else [(False, pos), (True, neg)]:
         listed = None if o.structure is None or not s else (
             o.structure.cocone_candidates(s) if co else o.structure.cone_candidates(s))
@@ -534,32 +535,30 @@ def _listed_past_truncation(o: OracleGraph, pos, neg, skip, cocones_first: bool)
             if any(_live(o, v, pos, neg, skip) for v in listed):
                 return True, None
             return False, f"{'co-cones' if co else 'cones'} over {sorted(s)} = {sorted(listed)}"
-    return None
+    return False, None
 
 
 def _past_truncation(
-    o: OracleGraph, pos: frozenset[int], neg: frozenset[int], skip: frozenset[int],
-    *, cocones_first: bool = False,
+    o: OracleGraph, pos: frozenset[int], neg: frozenset[int], skip: frozenset[int]
 ) -> tuple[bool, str | None]:
     """Is there a vertex outside ``skip`` adjacent to all of ``pos`` and none of ``neg``?
 
     Asked once a truncation holds no such vertex, so the answer comes from
     the oracle's declared structure.  Complete candidate lists are asked
-    first: cones over ``pos``, then co-cones over ``neg`` (the other way
-    round with ``cocones_first``), never over an empty set, since in an
-    infinite graph every vertex is a cone and a co-cone over nothing.  Each
-    listed vertex is tested with the predicate: ``(True, None)`` if one
-    passes, else ``(False, "<cones|co-cones> over [...] = [...]")``, a
-    horizon-independent confinement.  Without a list the structure's witness
-    for the first set asked is tested, and no certificate is possible.
+    first: cones over ``pos``, then co-cones over ``neg``, never over an
+    empty set, since in an infinite graph every vertex is a cone and a
+    co-cone over nothing.  Each listed vertex is tested with the predicate:
+    ``(True, None)`` if one passes, else ``(False, "<cones|co-cones> over
+    [...] = [...]")``, a horizon-independent confinement.  Without a list the
+    structure's witness for the first non-empty set is tested, and no
+    certificate is possible.
     """
-    found = _listed_past_truncation(o, pos, neg, skip, cocones_first)
-    co = bool(neg) if cocones_first else not pos  # is the first non-empty set asked neg?
-    s = neg if co else pos
-    if found is None and o.structure is not None and s:
-        w = o.structure.cocone_witness(s) if co else o.structure.cone_witness(s)
-        found = w is not None and _live(o, w, pos, neg, skip), None
-    return found or (False, None)
+    live, confined = _listed_past_truncation(o, pos, neg, skip, False)
+    s = pos or neg
+    if not live and confined is None and o.structure is not None and s:
+        w = o.structure.cone_witness(s) if pos else o.structure.cocone_witness(s)
+        live = w is not None and _live(o, w, pos, neg, skip)
+    return live, confined
 
 
 def back_and_forth(
@@ -643,7 +642,7 @@ def _back_and_forth(
                 # only a complete list can confine, so no witness is asked for
                 _, confined = _listed_past_truncation(
                     o, *_step_sets(rows, pairs, target, side, cert_kind), side == "preimage"
-                ) or (True, None)
+                )
                 if confined:
                     where = "preimage" if side == "preimage" else "image"
                     trace.certificate = f"{where} of {target} confined to {confined}; exhausted"

@@ -369,6 +369,11 @@ def reference_first_failures(g):
     return first
 
 
+def _labelled(n, bits):
+    pairs = list(itertools.combinations(range(n), 2))
+    return FiniteGraph.from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+
+
 class TestAgainstTotalMaps:
     """classify_finite's witnesses against first failures derived from total maps."""
 
@@ -382,22 +387,13 @@ class TestAgainstTotalMaps:
 
     def test_every_labelled_graph_up_to_four_vertices(self):
         for n in range(1, 5):
-            pairs = list(itertools.combinations(range(n), 2))
-            for bits in range(1 << len(pairs)):
-                self.check(FiniteGraph.from_edges(
-                    n, [p for i, p in enumerate(pairs) if bits >> i & 1]
-                ))
+            for bits in range(1 << n * (n - 1) // 2):
+                self.check(_labelled(n, bits))
 
     @settings(max_examples=30)
     @given(st.integers(min_value=0, max_value=(1 << 10) - 1))
     def test_labelled_graphs_on_five_vertices(self, bits):
-        pairs = list(itertools.combinations(range(5), 2))
-        self.check(FiniteGraph.from_edges(5, [p for i, p in enumerate(pairs) if bits >> i & 1]))
-
-
-def _labelled(n, bits):
-    pairs = list(itertools.combinations(range(n), 2))
-    return FiniteGraph.from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+        self.check(_labelled(5, bits))
 
 
 class TestStuckAndNote:
