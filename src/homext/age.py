@@ -8,9 +8,10 @@ homomorphism, and of a surjective monomorphism.  On those ingredients sit
 the closure criteria for extension-homogeneity, the four extension
 properties, and the independence/star statistics with their inequality.
 
-Every search inside a truncation runs on its bitset rows: the cones over a
-copy are one AND of rows, the co-cones one AND of complemented rows, and a
-star or dagger step takes its candidates from the engine's kernel
+Every search inside a truncation runs on its bitset rows.  The copies are
+visited level by level, and each one's pattern key and cone and co-cone
+masks come from the copy one vertex shorter by one row AND each.  A star or
+dagger step takes its candidates from the engine's kernel
 :func:`~homext.morphisms._step_mask`.  Each call canonicalises one copy per
 labelled pattern it meets and keeps nothing afterwards.  Only an oracle step
 left without a candidate in the truncation looks past it, through the
@@ -38,7 +39,7 @@ from .graphs import (
 )
 from .engine import Status, Verdict, _check_bounds, _past_truncation
 from .morphisms import MorphismKind, PartialMap, _step_mask, _step_sets
-from .morphisms import all_subsets, enumerate_local_morphisms
+from .morphisms import enumerate_local_morphisms
 
 EMBEDDING_CAP = 500
 PROPERTY_NAMES = ("delta", "therefore", "star", "dagger")
@@ -100,21 +101,32 @@ def _as_source(source, horizon: int | None) -> _Source:
     raise GraphError(f"unsupported source {source!r}")
 
 
-def _cone_status(src: _Source, subset: tuple[int, ...], *, co: bool) -> tuple[bool, bool]:
-    """(exists, definite_absence) for cones (or co-cones) over a copy.
+def _copies(rows, m: int, top: int):
+    """``(subset, key, cone, cocone)`` for the subsets of ``range(m)`` of size 1 to
+    ``top``, in :func:`~homext.morphisms.all_subsets` order.  Level ``s + 1``
+    extends each subset of level ``s`` by each larger ``v``: ``key << s | col``
+    (``col``: ``v``'s adjacency to the members; a sentinel bit fixes the size),
+    ``cone & rows[v]``, ``cocone & ~(rows[v] | 1 << v)``, masks over all rows."""
+    full = (1 << len(rows)) - 1
+    level = [((), 1, full, full, [0] * m)]  # each with the columns after its last
+    for s in range(top):
+        deeper, nxt = s + 1 < top, []
+        for subset, key, cone, cocone, cols in level:
+            first = subset[-1] + 1 if subset else 0
+            for v in range(first, m):
+                r = rows[v]
+                copy = (subset + (v,), key << s | cols[v - first], cone & r, cocone & ~(r | 1 << v))
+                yield copy
+                if deeper:
+                    rest = enumerate(cols[v + 1 - first :], v + 1)
+                    nxt.append((*copy, [c << 1 | (r >> u & 1) for u, c in rest]))
+        level = nxt
 
-    Inside the truncation the cones over ``subset`` are one AND of its rows
-    (co-cones: of its complemented rows, each with its own bit cleared).  On
-    a miss an oracle is asked past its truncation through the engine's
-    :func:`~homext.engine._past_truncation`.  Definite absence needs either a
-    finite graph or a complete candidate list, every member of which fails.
-    """
-    rows = src.trunc.rows
-    mask = (1 << len(rows)) - 1
-    for u in subset:
-        mask &= ~(rows[u] | 1 << u) if co else rows[u]
-    if mask:
-        return True, False
+
+def _cone_status(src: _Source, subset: tuple[int, ...], *, co: bool) -> tuple[bool, bool]:
+    """(exists, definite_absence) for cones (or co-cones) over a copy with none
+    in the truncation (:func:`_copies`): definite on a finite graph; an oracle
+    asks :func:`~homext.engine._past_truncation`, definite only under a list."""
     if src.finite:
         return False, True
     s, none = frozenset(subset), frozenset()
@@ -132,14 +144,14 @@ def compute_age(
     """Isomorphism types of induced subgraphs of size up to ``k``, with flags.
 
     Types are deduplicated by canonical form, computed once per labelled
-    pattern (size and upper-triangle adjacency bits) met in this call.  The
-    four flags are settled per copy: an existence flag turns Yes on the first
-    verified cone/co-cone, an absence flag turns Yes on the first copy whose
-    candidate set is provably exhausted; once both cone flags (or both
-    co-cone flags) of a type are Yes, its later copies skip that search.  A
-    No needs every copy examined the other way, so exceeding
-    ``embedding_cap`` copies downgrades the universally quantified side to
-    Unknown.
+    pattern (an int key built column by column, see :func:`_copies`) met in
+    this call.  The four flags are settled per copy: an existence flag turns
+    Yes on the first verified cone/co-cone, an absence flag turns Yes on the
+    first copy whose candidate set is provably exhausted; once both cone
+    flags (or both co-cone flags) of a type are Yes, its later copies skip
+    that search.  A No needs every copy examined the other way, so exceeding
+    ``embedding_cap`` copies (at least 1) downgrades the universally
+    quantified side to Unknown.
     """
     return _age_table(_as_source(source, horizon), k, embedding_cap)
 
@@ -147,40 +159,34 @@ def compute_age(
 def _age_table(src: _Source, k: int, embedding_cap: int) -> list[AgeEntry]:
     if k < 1:
         raise GraphError(f"age bound must be at least 1, got {k}")
-    g = src.trunc
-    rows = g.rows
+    if embedding_cap < 1:
+        raise GraphError(f"embedding cap must be at least 1, got {embedding_cap}")
+    g, yes = src.trunc, Flag.YES  # local: Flag.YES is a slow class attribute lookup
     entries: dict[FiniteGraph, AgeEntry] = {}
-    # labelled pattern -> entry; kept for this call only
-    by_pattern: dict[tuple[int, int], AgeEntry] = {}
-    for subset in all_subsets(range(g.n), min(k, g.n)):
-        bits = 0
-        for i, u in enumerate(subset):
-            r = rows[u]
-            for v in subset[i + 1 :]:
-                bits = bits << 1 | (r >> v & 1)
-        entry = by_pattern.get((len(subset), bits))
+    by_pattern: dict[int, AgeEntry] = {}  # labelled pattern -> entry, this call only
+    for subset, key, cone, cocone in _copies(g.rows, g.n, min(k, g.n)):
+        entry = by_pattern.get(key)
         if entry is None:
             canon, _ = canonical_form(induced_subgraph(g, subset))
-            entry = entries.setdefault(canon, AgeEntry(canon, canon.n, 0))
-            by_pattern[len(subset), bits] = entry
+            entry = by_pattern[key] = entries.setdefault(canon, AgeEntry(canon, canon.n, 0))
         entry.copies += 1
         if entry.copies > embedding_cap:
             continue
-        if entry.kk is not Flag.YES or entry.okk is not Flag.YES:
-            has_cone, no_cone_definite = _cone_status(src, subset, co=False)
-            if has_cone and entry.kk is not Flag.YES:
-                entry.kk = Flag.YES
+        if entry.kk is not yes or entry.okk is not yes:
+            found, absent = (True, False) if cone else _cone_status(src, subset, co=False)
+            if found and entry.kk is not yes:
+                entry.kk = yes
                 entry.coned_copy = subset
-            if no_cone_definite and entry.okk is not Flag.YES:
-                entry.okk = Flag.YES
+            if absent and entry.okk is not yes:
+                entry.okk = yes
                 entry.cone_free_copy = subset
-        if entry.hh is not Flag.YES or entry.ohh is not Flag.YES:
-            has_cocone, no_cocone_definite = _cone_status(src, subset, co=True)
-            if has_cocone and entry.hh is not Flag.YES:
-                entry.hh = Flag.YES
+        if entry.hh is not yes or entry.ohh is not yes:
+            found, absent = (True, False) if cocone else _cone_status(src, subset, co=True)
+            if found and entry.hh is not yes:
+                entry.hh = yes
                 entry.coconed_copy = subset
-            if no_cocone_definite and entry.ohh is not Flag.YES:
-                entry.ohh = Flag.YES
+            if absent and entry.ohh is not yes:
+                entry.ohh = yes
                 entry.cocone_free_copy = subset
     for entry in entries.values():
         # On a fully scanned finite source the flags are exhaustive: a flag
@@ -229,12 +235,8 @@ def order_preceq(a: FiniteGraph, b: FiniteGraph) -> bool:
         if len(set(values)) + (a.n - pos) < b.n:
             return False
         for d in target:
-            ok = True
-            for q in range(pos):
-                if a.adj(q, pos) and not b.adj(values[q], d):
-                    ok = False
-                    break
-            if ok and rec(pos + 1, values + [d]):
+            fits = all(b.adj(values[q], d) for q in range(pos) if a.adj(q, pos))
+            if fits and rec(pos + 1, values + [d]):
                 return True
         return False
 
@@ -259,11 +261,10 @@ class CriterionReport:
 
     @property
     def verdict(self) -> Verdict:
-        worst = min(
+        return min(
             (v for _, v in self.conditions),
             key=lambda v: {Status.FAILS: 0, Status.UNKNOWN: 1, Status.HOLDS: 2}[v.status],
         )
-        return worst
 
     def report(self) -> str:
         lines = [f"criterion {self.which}:"]
@@ -279,11 +280,7 @@ def _flag_disjoint_condition(
     for e in entries:
         a, b = getattr(e, yes_attr), getattr(e, no_attr)
         if a is Flag.YES and b is Flag.YES:
-            return Verdict(
-                Status.FAILS,
-                note=f"{label} overlap at {e.graph6}",
-                witness=None,
-            )
+            return Verdict(Status.FAILS, note=f"{label} overlap at {e.graph6}")
         if a is Flag.UNKNOWN or b is Flag.UNKNOWN:
             unknown = True
     return Verdict(Status.UNKNOWN if unknown else Status.HOLDS)
@@ -412,7 +409,7 @@ def check_property(
     """Bounded check of one of the four extension properties.
 
     ``delta``: every subset of size up to ``k`` has a cone; ``therefore``:
-    a co-cone (both one AND of rows per subset, see :func:`_cone_status`).
+    a co-cone (both one row AND per subset, see :func:`_copies`).
     ``star``: every surjective local monomorphism with domain size up to
     ``k`` extends one domain vertex at a time (image-side vertex outside the
     current image); ``dagger``: every surjective local homomorphism accepts
@@ -440,8 +437,10 @@ def check_property(
     unwitnessed = 0
     if which in ("delta", "therefore"):
         co = which == "therefore"
-        for subset in all_subsets(range(domain_bound), min(k, domain_bound)):
+        for subset, _, cone, cocone in _copies(g.rows, domain_bound, min(k, domain_bound)):
             cases += 1
+            if cocone if co else cone:
+                continue
             exists, definite_absence = _cone_status(src, subset, co=co)
             if exists:
                 continue

@@ -145,8 +145,10 @@ def _truncation(o: OracleGraph, f: PartialMap, *sizes: int) -> FiniteGraph:
 
 def _one_step(g, f: PartialMap, target: int, side: str, kind, horizon) -> tuple[int, ...]:
     _check_bounds(horizon=horizon)
+    if target < 0 or isinstance(g, FiniteGraph) and target >= g.n:
+        raise GraphError(f"vertex {target} out of range")
     if isinstance(g, FiniteGraph):
-        t, horizon_mask = g, (1 << g.n) - 1
+        t, horizon_mask = g, (1 << (g.n if horizon is None else min(horizon, g.n))) - 1
     elif horizon is None:
         raise GraphError("oracle graphs need an explicit horizon")
     else:
@@ -161,8 +163,9 @@ def one_step_extension(
 ) -> tuple[int, ...]:
     """All targets ``d`` such that ``f + (c -> d)`` still has the given kind.
 
-    For monomorphism kind and above, ``d`` must avoid the current image.  On
-    an oracle graph ``d < horizon``, read from a truncation (which may raise).
+    For monomorphism kind and above, ``d`` must avoid the current image.
+    Every ``d`` is below ``horizon`` if one is given; an oracle needs one,
+    and is read from a truncation (which may raise).
     """
     if c in f.domain:
         raise GraphError(f"vertex {c} already in the domain")
@@ -527,20 +530,21 @@ def _live(o: OracleGraph, v: int, pos, neg, skip) -> bool:
 def _listed_past_truncation(o: OracleGraph, pos, neg, skip, cocones_first: bool):
     """The list half of :func:`_past_truncation`: its answer from the first
     complete candidate list the structure declares, or ``(False, None)``
-    without one."""
+    without one.  A confinement is ``(co, set, listed)``: whether the list
+    holds co-cones, the set they are taken over, and the list."""
     for co, s in [(True, neg), (False, pos)] if cocones_first else [(False, pos), (True, neg)]:
         listed = None if o.structure is None or not s else (
             o.structure.cocone_candidates(s) if co else o.structure.cone_candidates(s))
         if listed is not None:
             if any(_live(o, v, pos, neg, skip) for v in listed):
                 return True, None
-            return False, f"{'co-cones' if co else 'cones'} over {sorted(s)} = {sorted(listed)}"
+            return False, (co, s, listed)
     return False, None
 
 
 def _past_truncation(
     o: OracleGraph, pos: frozenset[int], neg: frozenset[int], skip: frozenset[int]
-) -> tuple[bool, str | None]:
+) -> tuple[bool, tuple | None]:
     """Is there a vertex outside ``skip`` adjacent to all of ``pos`` and none of ``neg``?
 
     Asked once a truncation holds no such vertex, so the answer comes from
@@ -548,10 +552,10 @@ def _past_truncation(
     first: cones over ``pos``, then co-cones over ``neg``, never over an
     empty set, since in an infinite graph every vertex is a cone and a
     co-cone over nothing.  Each listed vertex is tested with the predicate:
-    ``(True, None)`` if one passes, else ``(False, "<cones|co-cones> over
-    [...] = [...]")``, a horizon-independent confinement.  Without a list the
-    structure's witness for the first non-empty set is tested, and no
-    certificate is possible.
+    ``(True, None)`` if one passes, else ``(False, (co, set, listed))``, a
+    horizon-independent confinement that the bounded engine renders.  Without
+    a list the structure's witness for the first non-empty set is tested,
+    and no certificate is possible.
     """
     live, confined = _listed_past_truncation(o, pos, neg, skip, False)
     s = pos or neg
@@ -644,8 +648,10 @@ def _back_and_forth(
                     o, *_step_sets(rows, pairs, target, side, cert_kind), side == "preimage"
                 )
                 if confined:
+                    co, s, listed = confined
                     where = "preimage" if side == "preimage" else "image"
-                    trace.certificate = f"{where} of {target} confined to {confined}; exhausted"
+                    over = f"{'co-cones' if co else 'cones'} over {sorted(s)} = {sorted(listed)}"
+                    trace.certificate = f"{where} of {target} confined to {over}; exhausted"
             break
         v = (mask & -mask).bit_length() - 1
         pair = (v, target) if side == "preimage" else (target, v)

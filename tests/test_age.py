@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from homext.age import (
+    EMBEDDING_CAP,
     AgeEntry,
     Flag,
+    _copies,
     age_report,
     alpha,
     check_alpha_sigma_bound,
@@ -19,10 +21,11 @@ from homext.age import (
     sigma,
     sigma_by_embedding,
 )
-from homext.engine import Status, total_endo_kinds
+from homext.engine import Status, _past_truncation, total_endo_kinds
 from homext.formats import to_graph6
 from homext.generators import (
     OMEGA,
+    GraphStructure,
     complete,
     composite,
     independent,
@@ -33,12 +36,13 @@ from homext.generators import (
 from homext.graphs import (
     FiniteGraph,
     GraphError,
+    OracleGraph,
     canonical_form,
     complement,
     induced_subgraph,
     oracle_truncate,
 )
-from homext.morphisms import EndoKind, PartialMap
+from homext.morphisms import EndoKind, PartialMap, all_subsets
 
 from conftest import random_graph
 from test_graphs import C5, P3, finite_graphs
@@ -84,6 +88,14 @@ class TestComputeAge:
         with pytest.raises(GraphError):
             check_criterion(g, "HH", 0)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_embedding_cap_below_one_rejected(self, cap):
+        # cap 0 used to leave a finite criterion unknown, -1 every flag unknown
+        with pytest.raises(GraphError):
+            compute_age(complete(4), 2, embedding_cap=cap)
+        with pytest.raises(GraphError):
+            check_criterion(complete(4), "HH", 2, embedding_cap=cap)
+
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_oracle_horizon_below_one_rejected(self, horizon):
         # horizon 0 used to give an empty age and an unknown-at-bound criterion
@@ -128,6 +140,114 @@ class TestAgainstReference:
     def test_entries_equal_per_subset_scan(self, g, k, cap):
         # every field: flags, copies and the four witness copies
         assert compute_age(g, k, embedding_cap=cap) == reference_age(g, k, cap)
+
+
+class TestCopies:
+    @given(finite_graphs(max_n=9), st.integers(0, 3), st.integers(1, 4))
+    def test_order_masks_and_keys(self, g, shorter, top):
+        # a window ranges over fewer vertices than the rows cover
+        m = max(0, g.n - shorter)
+        copies = list(_copies(g.rows, m, min(top, m)))
+        assert [c[0] for c in copies] == list(all_subsets(range(m), min(top, m)))
+        full = (1 << g.n) - 1
+        for subset, _, cone, cocone in copies:
+            assert cone == full & ~sum(
+                1 << v for v in range(g.n) if not all(g.adj(u, v) for u in subset))
+            assert cocone == full & ~sum(
+                1 << v for v in range(g.n) if v in subset or any(g.adj(u, v) for u in subset))
+        # equal keys exactly for equal labelled patterns
+        keyed = {(key, induced_subgraph(g, subset)) for subset, key, _, _ in copies}
+        assert len(keyed) == len({key for key, _ in keyed}) == len({p for _, p in keyed})
+
+
+class RecordingStructure(GraphStructure):
+    """Delegates to a declared structure and records every question asked."""
+
+    def __init__(self, inner, calls):
+        self.inner, self.calls = inner, calls
+
+    def _ask(self, name, s):
+        self.calls.append((name, tuple(sorted(s))))
+        return getattr(self.inner, name)(s)
+
+    def cone_candidates(self, zset):
+        return self._ask("cone_candidates", zset)
+
+    def cocone_candidates(self, wset):
+        return self._ask("cocone_candidates", wset)
+
+    def cone_witness(self, hset):
+        return self._ask("cone_witness", hset)
+
+    def cocone_witness(self, hset):
+        return self._ask("cocone_witness", hset)
+
+
+AGE_ORACLES = {
+    "rs3": rs_graph(3),
+    "rado": rado_bit(),
+    "radoplus": rado_plus_dominating_oracle(),
+    "comp_w_3": composite(OMEGA, 3),
+    "comp_3_w": composite(3, OMEGA),
+    "comp_w_w": composite(OMEGA, OMEGA),
+}
+
+
+def recorded(o):
+    calls = []
+    structure = RecordingStructure(o.structure, calls)
+    return OracleGraph(o.adjacency, o.name, o.metadata, structure), calls
+
+
+def reference_oracle_age(o, k, horizon):
+    """One canonical form per subset, a per-vertex scan of the truncation for
+    cones, the route past it on a miss; a settled pair of flags skips its search."""
+    t = oracle_truncate(o, horizon)
+    entries = {}
+    for subset in all_subsets(range(horizon), min(k, horizon)):
+        canon = canonical_form(induced_subgraph(t, subset))[0]
+        e = entries.setdefault(canon, AgeEntry(canon, canon.n, 0))
+        e.copies += 1
+        if e.copies > EMBEDDING_CAP:
+            continue
+        s, none = frozenset(subset), frozenset()
+        for co, yes, no in ((False, "kk", "okk"), (True, "hh", "ohh")):
+            if getattr(e, yes) is Flag.YES and getattr(e, no) is Flag.YES:
+                continue
+            outside = [v for v in range(horizon) if v not in s]
+            if any(all(t.adj(u, v) != co for u in subset) for v in outside):
+                found, absent = True, False
+            else:
+                found, confined = _past_truncation(o, none if co else s, s if co else none, s)
+                absent = confined is not None
+            prefix = "co" if co else ""
+            if found and getattr(e, yes) is not Flag.YES:
+                setattr(e, yes, Flag.YES)
+                setattr(e, f"{prefix}coned_copy", subset)
+            if absent and getattr(e, no) is not Flag.YES:
+                setattr(e, no, Flag.YES)
+                setattr(e, f"{prefix}cone_free_copy", subset)
+    return sorted(entries.values(), key=lambda e: (e.size, to_graph6(e.graph)))
+
+
+class TestOracleAgainstReference:
+    @given(
+        st.sampled_from(sorted(AGE_ORACLES)),
+        st.integers(4, 12),
+        st.integers(1, 3),
+        st.sampled_from([None, "HH", "HE", "ME"]),
+    )
+    def test_entries_and_structure_calls_equal_per_subset_scan(self, label, horizon, k, which):
+        o, calls = recorded(AGE_ORACLES[label])
+        expected = reference_oracle_age(o, k, horizon)
+        expected_calls = calls[:]
+        calls.clear()
+        if which is None:
+            got = compute_age(o, k, horizon=horizon)
+        else:
+            got = check_criterion(o, which, k, horizon=horizon).entries
+        assert got == expected
+        assert calls == expected_calls
 
 
 class TestConeFlags:
@@ -272,6 +392,23 @@ class TestProperties:
         rep = check_property(rado_bit(), "dagger", 3, horizon=128, window=6)
         assert rep.verdict.status is Status.UNKNOWN
         assert rep.unwitnessed == 0  # no failure found anywhere in the window
+
+    @given(finite_graphs(max_n=9), st.integers(1, 4), st.sampled_from(["delta", "therefore"]))
+    def test_failure_witness_is_first_uncovered_subset(self, g, k, which):
+        # subsets in size-major lexicographic order; the first without a cone fails
+        co = which == "therefore"
+        subsets = list(all_subsets(range(g.n), min(k, g.n)))
+        uncovered = [
+            i for i, s in enumerate(subsets)
+            if not any(v not in s and all(g.adj(u, v) != co for u in s) for v in range(g.n))
+        ]
+        rep = check_property(g, which, k)
+        if not uncovered:
+            assert rep.verdict.holds and rep.cases == len(subsets)
+            return
+        first = subsets[uncovered[0]]
+        assert rep.verdict.fails and rep.cases == uncovered[0] + 1
+        assert rep.verdict.witness == PartialMap(tuple((u, u) for u in first))
 
     def test_star_on_empty_graph(self):
         assert check_property(independent(5), "star", 2).verdict.holds

@@ -75,6 +75,33 @@ class TestOneStep:
         with pytest.raises(GraphError):
             one_step_preimage(P3, f, 0, H)
 
+    @pytest.mark.parametrize(
+        "g, target",
+        [(complete(3), 7), (complete(3), 3), (complete(3), -1), (rs_graph(3), -1)],
+        ids=["finite-past-n", "finite-at-n", "finite-negative", "oracle-negative"],
+    )
+    def test_target_out_of_range_rejected(self, g, target):
+        # a missing vertex used to get candidates, a negative one a ValueError
+        f = PartialMap(((0, 0),))
+        with pytest.raises(GraphError):
+            one_step_extension(g, f, target, H, horizon=4)
+        with pytest.raises(GraphError):
+            one_step_preimage(g, f, target, H, horizon=4)
+
+    def test_horizon_honoured_on_finite_graphs(self):
+        # a truncation answers as its oracle does at the same horizon
+        o, f = rs_graph(3), PartialMap(((0, 0),))
+        t = oracle_truncate(o, 6)
+        assert one_step_extension(t, f, 1, H, horizon=2) == (0, 1)
+        for horizon in (2, 4, 6):
+            assert one_step_extension(t, f, 1, H, horizon=horizon) == one_step_extension(
+                o, f, 1, H, horizon=horizon
+            )
+            assert one_step_preimage(t, f, 1, H, horizon=horizon) == one_step_preimage(
+                o, f, 1, H, horizon=horizon
+            )
+        assert one_step_extension(t, f, 1, H, horizon=50) == one_step_extension(t, f, 1, H)
+
 
 STEP_ORACLES = {
     "rs3": rs_graph(3),
