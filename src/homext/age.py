@@ -108,7 +108,7 @@ def _copies(rows, m: int, top: int):
     (``col``: ``v``'s adjacency to the members; a sentinel bit fixes the size),
     ``cone & rows[v]``, ``cocone & ~(rows[v] | 1 << v)``, masks over all rows."""
     full = (1 << len(rows)) - 1
-    level = [((), 1, full, full, [0] * m)]  # each with the columns after its last
+    level = [((), 1, full, full, [0] * m)]  # cols[i]: the column of vertex first + i
     for s in range(top):
         deeper, nxt = s + 1 < top, []
         for subset, key, cone, cocone, cols in level:
