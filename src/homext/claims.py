@@ -177,7 +177,7 @@ def _xy(code: str) -> tuple[MorphismKind, EndoKind]:
     return X_BY_NAME[code[0]], EndoKind(code[1])
 
 
-def _h3prime_witness(size: int, seed: int) -> tuple[ClaimResult | None, str]:
+def _h3prime_witness(size: int, seed: int) -> tuple[bool, str]:
     """Re-derive the two-point isomorphism that no injective endomorphism extends."""
     g, (u, v, w) = h3_prime(size, seed)
     uv_common = [c for c in range(g.n) if g.adj(u, c) and g.adj(v, c)]

@@ -31,11 +31,18 @@ from .graphs import FiniteGraph, GraphError, OracleGraph
 from .morphisms import X_KINDS, Y_KINDS
 
 
-def _add_bounds(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-domain", type=int, default=DEFAULT_MAX_DOMAIN, metavar="K")
-    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON, metavar="N")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH, metavar="D")
-    p.add_argument("--window", type=int, default=None, metavar="W")
+_BOUNDS = {
+    "max-domain": (DEFAULT_MAX_DOMAIN, "K"),
+    "horizon": (DEFAULT_HORIZON, "N"),
+    "depth": (DEFAULT_DEPTH, "D"),
+    "window": (None, "W"),
+}
+
+
+def _add_bounds(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        default, metavar = _BOUNDS[name]
+        p.add_argument(f"--{name}", type=int, default=default, metavar=metavar)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bounded", action="store_true",
                    help="treat a generator as an oracle and run bounded sweeps")
-    _add_bounds(p)
+    _add_bounds(p, "max-domain", "horizon", "depth", "window")
 
     p = sub.add_parser("atlas", help="classify every small graph up to isomorphism")
     p.add_argument("--max-n", type=int, required=True, metavar="K")
@@ -76,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--gen", nargs="+", metavar=("NAME", "PARAM"))
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    _add_bounds(p)
+    _add_bounds(p, "horizon")
 
     p = sub.add_parser("check", help="check one property or criterion")
     p.add_argument("what", choices=PROPERTY_NAMES + ("HH", "HE", "ME"))
@@ -85,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--gen", nargs="+", metavar=("NAME", "PARAM"))
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    _add_bounds(p)
+    _add_bounds(p, "horizon", "window")
     return top
 
 

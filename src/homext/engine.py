@@ -188,20 +188,20 @@ def one_step_preimage(
 def extend_finite(g: FiniteGraph, f: PartialMap, y: EndoKind) -> tuple[int, ...] | None:
     """A total endomorphism of kind ``y`` extending ``f``, or ``None``.
 
-    Backtracking over the unassigned vertices with forward checking: each
-    vertex keeps a candidate bitmask, narrowed by every assignment; the
-    most-constrained vertex is assigned first, candidate values in ascending
-    order.  For surjective kinds two prunes apply: the image plus the number
-    of unassigned vertices must still reach ``n``, and every uncovered vertex
-    must retain at least one candidate preimage.  ``None`` is an absence
-    proof by exhaustion.
+    E, B and A all search as A (a surjective endomorphism of a finite graph
+    is an automorphism), so no surjectivity prune is needed.  Backtracking
+    over the unassigned vertices with forward checking: each vertex keeps a
+    candidate bitmask, narrowed by every assignment; the most-constrained
+    vertex is assigned first, candidate values in ascending order.  ``None``
+    is an absence proof by exhaustion.
     """
     n = g.n
     rows = g.rows
     for s, t in f.pairs:
         if not (0 <= s < n and 0 <= t < n):
             raise GraphError(f"map pair ({s}, {t}) out of range for n={n}")
-    if classify_map(g, f) < y.required_kind:
+    kind = MorphismKind.ISOMORPHISM if y.needs_surjective else y.required_kind
+    if classify_map(g, f) < kind:
         return None
 
     assign: list[int] = [-1] * n
@@ -210,41 +210,25 @@ def extend_finite(g: FiniteGraph, f: PartialMap, y: EndoKind) -> tuple[int, ...]
     full = (1 << n) - 1
 
     def narrowed(cands: list[int], v: int, d: int) -> list[int] | None:
+        # the one-pair rule of _step_mask for the new pair (v, d)
+        adj = rows[d]
+        if kind is MorphismKind.ISOMORPHISM:
+            non = ~(adj | 1 << d)
+        elif kind is MorphismKind.MONOMORPHISM:
+            non = ~(1 << d)
+        else:
+            non = -1
         out = list(cands)
-        forbid = (1 << d) if y.needs_injective else 0
         for x in range(n):
             if assign[x] >= 0 or x == v:
                 continue
-            mask = out[x]
-            if rows[x] >> v & 1:
-                mask &= rows[d]
-            elif y.preserves_nonedges:
-                mask &= ~rows[d] & full & ~(1 << d)
-            mask &= ~forbid
+            mask = out[x] & (adj if rows[x] >> v & 1 else non)
             if mask == 0:
                 return None
             out[x] = mask
         return out
 
-    def surjectivity_ok(cands: list[int]) -> bool:
-        used = 0
-        free = 0
-        for v in range(n):
-            if assign[v] >= 0:
-                used |= 1 << assign[v]
-            else:
-                free += 1
-        if used.bit_count() + free < n:
-            return False
-        coverable = used
-        for v in range(n):
-            if assign[v] < 0:
-                coverable |= cands[v]
-        return coverable == full
-
     def search(cands: list[int]) -> bool:
-        if y.needs_surjective and not surjectivity_ok(cands):
-            return False
         best_v = -1
         best_count = n + 1
         for v in range(n):
@@ -266,10 +250,9 @@ def extend_finite(g: FiniteGraph, f: PartialMap, y: EndoKind) -> tuple[int, ...]
             assign[best_v] = -1
         return False
 
-    # the pairwise constraints of a kind-y map are those of y.required_kind
     cands = [
         1 << assign[v] if assign[v] >= 0
-        else _step_mask(rows, f.pairs, v, "extension", y.required_kind, full)
+        else _step_mask(rows, f.pairs, v, "extension", kind, full)
         for v in range(n)
     ]
     if 0 in cands or not search(cands):

@@ -21,6 +21,7 @@ All generators are deterministic given their parameters and seed.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable
@@ -75,9 +76,7 @@ class GraphStructure:
 
 def cantor_unpair(i: int) -> tuple[int, int]:
     """Inverse of the Cantor pairing; ``i`` = position of ``(a, b)`` on the diagonals."""
-    w = 0
-    while (w + 1) * (w + 2) // 2 <= i:
-        w += 1
+    w = (math.isqrt(8 * i + 1) - 1) // 2
     b = i - w * (w + 1) // 2
     return w - b, b
 
@@ -292,7 +291,7 @@ def rado_plus_dominating(n: int, *, cap: int | None = None) -> FiniteGraph:
     """BIT truncation on ``n - 1`` vertices plus a dominating vertex ``n - 1``."""
     if n < 2:
         raise GraphError(f"radoplus requires n >= 2, got {n}")
-    base = oracle_truncate(rado_bit(), n - 1, cap=cap)
+    base = oracle_truncate(rado_bit(), n - 1)
     w = n - 1
     edges = list(base.edges()) + [(v, w) for v in range(w)]
     return FiniteGraph.from_edges(n, edges, cap=max(n, VERTEX_CAP) if cap is None else cap)

@@ -305,13 +305,12 @@ def max_independent_set_size(g: FiniteGraph) -> int:
     return max_clique_size(complement(g))
 
 
-def oracle_truncate(o: OracleGraph, n: int, *, cap: int | None = None) -> FiniteGraph:
+def oracle_truncate(o: OracleGraph, n: int) -> FiniteGraph:
     """Induced subgraph of an oracle graph on vertices ``0..n-1``.
 
     The predicate is probed on both orientations of every pair; asymmetry or a
     reflexive edge is reported as an error rather than silently repaired.
     """
-    cap = max(VERTEX_CAP, n) if cap is None else cap
     if n < 0:
         raise GraphError(f"negative truncation size {n}")
     rows = [0] * n

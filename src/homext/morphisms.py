@@ -48,16 +48,8 @@ class EndoKind(str, Enum):
         return _REQUIRED[self]
 
     @property
-    def needs_injective(self) -> bool:
-        return self in (EndoKind.M, EndoKind.I, EndoKind.B, EndoKind.A)
-
-    @property
     def needs_surjective(self) -> bool:
         return self in (EndoKind.E, EndoKind.B, EndoKind.A)
-
-    @property
-    def preserves_nonedges(self) -> bool:
-        return self in (EndoKind.I, EndoKind.A)
 
     def implies(self) -> tuple["EndoKind", ...]:
         """Kinds every endomorphism of this kind also has."""

@@ -157,6 +157,13 @@ class TestCli:
         assert main(["check", "delta", "--gen", "rs", "3", "--k", "2", "--window", "-1"]) == 2
         assert "at least 1" in capsys.readouterr().err
 
+    def test_age_and_check_reject_bounds_they_do_not_read(self, capsys):
+        for argv in (["age", "--gen", "k", "4", "--k", "2", "--depth", "3"],
+                     ["check", "delta", "--gen", "k", "4", "--k", "2", "--max-domain", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
     def test_check_property(self, capsys):
         assert main(["check", "delta", "--gen", "k", "6", "--k", "3"]) == 0
         assert main(["check", "delta", "--gen", "i", "3", "--k", "2"]) == 1

@@ -351,35 +351,50 @@ def _map_properties(g, pairs):
     return hom, len({t for _, t in pairs}) == len(pairs), reflecting
 
 
-def reference_first_failures(g):
-    """First non-extendable local map per (x, y), from the definitions alone.
+def _total_kinds(g, t):
+    """The Y kinds of a total map, from hom, injective, surjective and
+    edge-reflecting alone (empty if it is not a homomorphism)."""
+    hom, injective, reflecting = _map_properties(g, tuple(enumerate(t)))
+    if not hom:
+        return set()
+    surjective = len(set(t)) == g.n
+    kinds = {EndoKind.H}
+    if injective:
+        kinds.add(EndoKind.M)
+    if surjective:
+        kinds.add(EndoKind.E)
+    if injective and surjective:
+        kinds.add(EndoKind.B)
+    if injective and reflecting:
+        kinds.add(EndoKind.I)
+    if injective and surjective and reflecting:
+        kinds.add(EndoKind.A)
+    return kinds
 
-    The kinds of all n^n total maps come from hom, injective, surjective and
-    edge-reflecting; a local map extends to kind y iff it is the restriction
-    of a total map of kind y.  Local maps are scanned in (size, domain,
-    values) order.  Nothing here assumes that the Y kinds coincide.
-    """
+
+def _extends_table(g):
+    """The Y kinds of all n^n total maps, gathered over each nonempty restriction."""
     n = g.n
     extends: dict[tuple, set] = {}
     for t in itertools.product(range(n), repeat=n):
-        hom, injective, reflecting = _map_properties(g, tuple(enumerate(t)))
-        if not hom:
+        kinds = _total_kinds(g, t)
+        if not kinds:
             continue
-        surjective = len(set(t)) == n
-        kinds = {EndoKind.H}
-        if injective:
-            kinds.add(EndoKind.M)
-        if surjective:
-            kinds.add(EndoKind.E)
-        if injective and surjective:
-            kinds.add(EndoKind.B)
-        if injective and reflecting:
-            kinds.add(EndoKind.I)
-        if injective and surjective and reflecting:
-            kinds.add(EndoKind.A)
         for mask in range(1, 1 << n):
             key = tuple((v, t[v]) for v in range(n) if mask >> v & 1)
             extends.setdefault(key, set()).update(kinds)
+    return extends
+
+
+def reference_first_failures(g):
+    """First non-extendable local map per (x, y), from the definitions alone.
+
+    A local map extends to kind y iff it is the restriction of a total map
+    of kind y (:func:`_extends_table`).  Local maps are scanned in (size,
+    domain, values) order.  Nothing here assumes that the Y kinds coincide.
+    """
+    n = g.n
+    extends = _extends_table(g)
     first = {}
     for size in range(1, n + 1):
         for dom in itertools.combinations(range(n), size):
@@ -421,6 +436,28 @@ class TestAgainstTotalMaps:
     @given(st.integers(min_value=0, max_value=(1 << 10) - 1))
     def test_labelled_graphs_on_five_vertices(self, bits):
         self.check(_labelled(5, bits))
+
+
+class TestExtendFiniteAgainstTotalMaps:
+    """extend_finite against the restrictions of every total map: each local
+    map with one or two pairs, non-homomorphisms included, and every Y."""
+
+    def test_every_labelled_graph_up_to_four_vertices(self):
+        for n in range(1, 5):
+            for bits in range(1 << n * (n - 1) // 2):
+                g = _labelled(n, bits)
+                extends = _extends_table(g)
+                for size in (1, 2):
+                    for dom in itertools.combinations(range(n), size):
+                        for vals in itertools.product(range(n), repeat=size):
+                            pairs = tuple(zip(dom, vals))
+                            for y in Y_KINDS:
+                                total = extend_finite(g, PartialMap(pairs), y)
+                                want = y in extends.get(pairs, ())
+                                assert (total is not None) == want, (g, pairs, y)
+                                if total is not None:
+                                    assert all(total[s] == t for s, t in pairs)
+                                    assert y in _total_kinds(g, total), (g, pairs, y)
 
 
 class TestStuckAndNote:

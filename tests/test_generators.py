@@ -61,6 +61,13 @@ class TestBasicFamilies:
         for u, v in g.edges():
             assert cantor_unpair(u)[0] == cantor_unpair(v)[0]
 
+    def test_cantor_unpair_round_trips_the_pairing(self):
+        # every i < 80 * 81 / 2 is one (a, b) with a + b < 80, then far diagonals
+        pairs = [(a, s - a) for s in range(80) for a in range(s, -1, -1)]
+        assert [cantor_unpair(i) for i in range(len(pairs))] == pairs
+        for a, b in [(2**40, 0), (2**40, 7), (3, 2**40), (2**40, 2**40 - 1)]:
+            assert cantor_unpair((a + b) * (a + b + 1) // 2 + b) == (a, b)
+
     def test_composite_equal_clique_components(self):
         for m, n, trunc in [(OMEGA, 3, 12), (4, OMEGA, 20)]:
             o = composite(m, n)
