@@ -4,13 +4,16 @@ The age of a graph is the set of isomorphism types of its finite induced
 subgraphs.  Each type is flagged by whether some copy has a cone (a vertex
 adjacent to the whole copy), some copy has none, and dually for co-cones.
 Two partial orders compare age members: existence of a surjective
-homomorphism, and of a surjective monomorphism.  On those ingredients sit
-the closure criteria for extension-homogeneity, the four extension
-properties, and the independence/star statistics with their inequality.
+homomorphism, and of a surjective monomorphism; between finite graphs of
+equal size a surjection is a bijection, so the second is the first
+restricted to equal sizes.  On those ingredients sit the closure criteria
+for extension-homogeneity, the four extension properties, and the
+independence/star statistics with their inequality.
 
-Every search inside a truncation runs on its bitset rows.  The copies are
-visited level by level, and each one's pattern key and cone and co-cone
-masks come from the copy one vertex shorter by one row AND each.  A star or
+Every search inside a truncation runs on its bitset rows.  The copies of
+each size are walked depth first, holding only the path: a copy's pattern
+key extends its prefix's by the new vertex's row bits on the members, and
+its cone and co-cone masks are its prefix's with one row AND each.  A star or
 dagger step takes its candidates from the engine's kernel
 :func:`~homext.morphisms._step_mask`.  Each call canonicalises one copy per
 labelled pattern it meets and keeps nothing afterwards.  Only an oracle step
@@ -37,7 +40,7 @@ from .graphs import (
     max_independent_set_size,
     oracle_truncate,
 )
-from .engine import Status, Verdict, _check_bounds, _past_truncation
+from .engine import _RANK, Status, Verdict, _check_bounds, _past_truncation
 from .morphisms import MorphismKind, PartialMap, _step_mask, _step_sets
 from .morphisms import enumerate_local_morphisms
 
@@ -78,59 +81,56 @@ class AgeEntry:
         )
 
 
-@dataclass
-class _Source:
-    """Uniform view of a finite graph or an oracle truncation."""
-
-    trunc: FiniteGraph
-    oracle: OracleGraph | None
-
-    @property
-    def finite(self) -> bool:
-        return self.oracle is None
-
-
-def _as_source(source, horizon: int | None) -> _Source:
+def _as_source(source, horizon: int | None) -> tuple[FiniteGraph, OracleGraph | None]:
+    """``(g, oracle)``: the graph searched and the oracle behind it, ``None``
+    for a finite graph (whose horizon is ignored)."""
     if isinstance(source, FiniteGraph):
-        return _Source(source, None)
+        return source, None
     if isinstance(source, OracleGraph):
         if horizon is None:
             raise GraphError("oracle age analysis needs a horizon")
         _check_bounds(horizon=horizon)
-        return _Source(oracle_truncate(source, horizon), source)
+        return oracle_truncate(source, horizon), source
     raise GraphError(f"unsupported source {source!r}")
 
 
 def _copies(rows, m: int, top: int):
     """``(subset, key, cone, cocone)`` for the subsets of ``range(m)`` of size 1 to
-    ``top``, in :func:`~homext.morphisms.all_subsets` order.  Level ``s + 1``
-    extends each subset of level ``s`` by each larger ``v``: ``key << s | col``
-    (``col``: ``v``'s adjacency to the members; a sentinel bit fixes the size),
-    ``cone & rows[v]``, ``cocone & ~(rows[v] | 1 << v)``, masks over all rows."""
+    ``top``, in :func:`~homext.morphisms.all_subsets` order: one depth-first walk
+    per size, holding only the path.  Adding ``v`` to a prefix of length ``s``
+    gives ``key << s | col`` (``col``: ``v``'s adjacency to the members, read
+    off ``rows[v]``; a sentinel bit fixes the size), ``cone & rows[v]`` and
+    ``cocone & ~(rows[v] | 1 << v)``, masks over all rows."""
     full = (1 << len(rows)) - 1
-    level = [((), 1, full, full, [0] * m)]  # cols[i]: the column of vertex first + i
-    for s in range(top):
-        deeper, nxt = s + 1 < top, []
-        for subset, key, cone, cocone, cols in level:
-            first = subset[-1] + 1 if subset else 0
-            for v in range(first, m):
-                r = rows[v]
-                copy = (subset + (v,), key << s | cols[v - first], cone & r, cocone & ~(r | 1 << v))
-                yield copy
-                if deeper:
-                    rest = enumerate(cols[v + 1 - first :], v + 1)
-                    nxt.append((*copy, [c << 1 | (r >> u & 1) for u, c in rest]))
-        level = nxt
+    for size in range(1, top + 1):
+        path = [((), 1, full, full, iter(range(m - size + 1)))]
+        while path:
+            subset, key, cone, cocone, vs = path[-1]
+            s = len(subset)
+            for v in vs:  # position s holds at most m - size + s
+                r, col = rows[v], 0
+                for u in subset:
+                    col = col << 1 | (r >> u & 1)
+                copy = (subset + (v,), key << s | col, cone & r, cocone & ~(r | 1 << v))
+                if s + 1 == size:
+                    yield copy
+                else:
+                    path.append((*copy, iter(range(v + 1, m - size + s + 2))))
+                    break
+            else:
+                path.pop()
 
 
-def _cone_status(src: _Source, subset: tuple[int, ...], *, co: bool) -> tuple[bool, bool]:
+def _cone_status(
+    oracle: OracleGraph | None, subset: tuple[int, ...], *, co: bool
+) -> tuple[bool, bool]:
     """(exists, definite_absence) for cones (or co-cones) over a copy with none
     in the truncation (:func:`_copies`): definite on a finite graph; an oracle
     asks :func:`~homext.engine._past_truncation`, definite only under a list."""
-    if src.finite:
+    if oracle is None:
         return False, True
     s, none = frozenset(subset), frozenset()
-    live, confined = _past_truncation(src.oracle, none if co else s, s if co else none, s)
+    live, confined = _past_truncation(oracle, none if co else s, s if co else none, s)
     return live, confined is not None
 
 
@@ -153,15 +153,17 @@ def compute_age(
     ``embedding_cap`` copies (at least 1) downgrades the universally
     quantified side to Unknown.
     """
-    return _age_table(_as_source(source, horizon), k, embedding_cap)
+    return _age_table(*_as_source(source, horizon), k, embedding_cap)
 
 
-def _age_table(src: _Source, k: int, embedding_cap: int) -> list[AgeEntry]:
+def _age_table(
+    g: FiniteGraph, oracle: OracleGraph | None, k: int, embedding_cap: int
+) -> list[AgeEntry]:
     if k < 1:
         raise GraphError(f"age bound must be at least 1, got {k}")
     if embedding_cap < 1:
         raise GraphError(f"embedding cap must be at least 1, got {embedding_cap}")
-    g, yes = src.trunc, Flag.YES  # local: Flag.YES is a slow class attribute lookup
+    yes = Flag.YES  # local: Flag.YES is a slow class attribute lookup
     entries: dict[FiniteGraph, AgeEntry] = {}
     by_pattern: dict[int, AgeEntry] = {}  # labelled pattern -> entry, this call only
     for subset, key, cone, cocone in _copies(g.rows, g.n, min(k, g.n)):
@@ -173,7 +175,7 @@ def _age_table(src: _Source, k: int, embedding_cap: int) -> list[AgeEntry]:
         if entry.copies > embedding_cap:
             continue
         if entry.kk is not yes or entry.okk is not yes:
-            found, absent = (True, False) if cone else _cone_status(src, subset, co=False)
+            found, absent = (True, False) if cone else _cone_status(oracle, subset, co=False)
             if found and entry.kk is not yes:
                 entry.kk = yes
                 entry.coned_copy = subset
@@ -181,7 +183,7 @@ def _age_table(src: _Source, k: int, embedding_cap: int) -> list[AgeEntry]:
                 entry.okk = yes
                 entry.cone_free_copy = subset
         if entry.hh is not yes or entry.ohh is not yes:
-            found, absent = (True, False) if cocone else _cone_status(src, subset, co=True)
+            found, absent = (True, False) if cocone else _cone_status(oracle, subset, co=True)
             if found and entry.hh is not yes:
                 entry.hh = yes
                 entry.coconed_copy = subset
@@ -191,7 +193,7 @@ def _age_table(src: _Source, k: int, embedding_cap: int) -> list[AgeEntry]:
     for entry in entries.values():
         # On a fully scanned finite source the flags are exhaustive: a flag
         # still Unknown means its existential never fired on any copy.
-        if src.finite and entry.copies <= embedding_cap:
+        if oracle is None and entry.copies <= embedding_cap:
             for attr in ("kk", "okk", "hh", "ohh"):
                 if getattr(entry, attr) is Flag.UNKNOWN:
                     setattr(entry, attr, Flag.NO)
@@ -244,13 +246,11 @@ def order_preceq(a: FiniteGraph, b: FiniteGraph) -> bool:
 
 
 def order_sqsubseteq(a: FiniteGraph, b: FiniteGraph) -> bool:
-    """Existence of a surjective monomorphism (a bijective homomorphism) ``a -> b``."""
-    if a.n != b.n:
-        return False
-    for perm in itertools.permutations(range(b.n)):
-        if all(b.adj(perm[u], perm[v]) for u, v in a.edges()):
-            return True
-    return False
+    """Existence of a surjective monomorphism (a bijective homomorphism) ``a -> b``.
+
+    Between finite graphs of equal size a surjective map is a bijection, so
+    this is :func:`order_preceq` restricted to equal sizes."""
+    return a.n == b.n and order_preceq(a, b)
 
 
 @dataclass
@@ -261,10 +261,7 @@ class CriterionReport:
 
     @property
     def verdict(self) -> Verdict:
-        return min(
-            (v for _, v in self.conditions),
-            key=lambda v: {Status.FAILS: 0, Status.UNKNOWN: 1, Status.HOLDS: 2}[v.status],
-        )
+        return min((v for _, v in self.conditions), key=lambda v: _RANK[v.status])
 
     def report(self) -> str:
         lines = [f"criterion {self.which}:"]
@@ -344,8 +341,8 @@ def check_criterion(
     which = which.upper()
     if which not in ("HH", "HE", "ME"):
         raise GraphError(f"unknown criterion {which!r}")
-    src = _as_source(source, horizon)
-    entries = _age_table(src, k, embedding_cap)
+    g, oracle = _as_source(source, horizon)
+    entries = _age_table(g, oracle, k, embedding_cap)
     conditions = [
         (
             "coned and cone-free age members disjoint",
@@ -371,7 +368,7 @@ def check_criterion(
                 _closure_condition(entries, "hh", order, upward=False, label="hh down"),
             )
         )
-    if not src.finite:
+    if oracle is not None:
         # the conditions quantify over the full age; a clean bounded scan
         # never settles them positively for an infinite graph
         conditions = [
@@ -429,10 +426,10 @@ def check_property(
         raise GraphError(f"property bound must be at least 1, got {k}")
     if not isinstance(source, FiniteGraph):
         _check_bounds(window=window)  # the horizon is checked with the source
-    src = _as_source(source, horizon)
-    g = src.trunc
-    domain_bound = g.n if src.finite else min(8 if window is None else window, g.n)
-    certificate = None if src.finite else "confined candidate list exhausted"
+    g, oracle = _as_source(source, horizon)
+    finite = oracle is None
+    domain_bound = g.n if finite else min(8 if window is None else window, g.n)
+    certificate = None if finite else "confined candidate list exhausted"
     cases = 0
     unwitnessed = 0
     if which in ("delta", "therefore"):
@@ -441,7 +438,7 @@ def check_property(
             cases += 1
             if cocone if co else cone:
                 continue
-            exists, definite_absence = _cone_status(src, subset, co=co)
+            exists, definite_absence = _cone_status(oracle, subset, co=co)
             if exists:
                 continue
             if definite_absence:
@@ -459,7 +456,7 @@ def check_property(
             unwitnessed += 1
     else:
         # star / dagger quantify over surjective local morphisms
-        if src.finite and g.n > 12:
+        if finite and g.n > 12:
             raise GraphError(
                 f"{which} on a finite graph enumerates all local maps; n={g.n} exceeds 12"
             )
@@ -480,8 +477,8 @@ def check_property(
                 cases += 1
                 if _step_mask(g.rows, f.pairs, t, side, want, search_mask):
                     continue
-                live, confined = (False, True) if src.finite else _past_truncation(
-                    src.oracle, *_step_sets(g.rows, f.pairs, t, side, want)
+                live, confined = (False, True) if finite else _past_truncation(
+                    oracle, *_step_sets(g.rows, f.pairs, t, side, want)
                 )
                 if live:
                     continue
@@ -500,7 +497,7 @@ def check_property(
                         unwitnessed,
                     )
                 unwitnessed += 1
-    if src.finite:
+    if finite:
         return PropertyReport(which, Verdict(Status.HOLDS), cases, unwitnessed)
     return PropertyReport(
         which,

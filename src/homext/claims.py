@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .atlas import corpus_upto
 from .engine import (
     classify_finite,
     decide_xy_bounded,
@@ -97,17 +98,11 @@ def _corpus_bound(params: tuple[str, ...]) -> int:
     raise GraphError(f"missing n<=K bound in {params}")
 
 
-def _corpus(n_max: int):
-    from .atlas import corpus_upto
-
-    return corpus_upto(n_max)
-
-
 def _check_equality(claim: PosetClaim) -> ClaimResult:
     y1, y2 = EndoKind(claim.lhs), EndoKind(claim.rhs)
     n_max = _corpus_bound(claim.params)
     checked = 0
-    for gid, g in _corpus(n_max):
+    for gid, g in corpus_upto(n_max):
         mv = classify_finite(g)
         for x in (MorphismKind.ISOMORPHISM, MorphismKind.MONOMORPHISM, MorphismKind.HOMOMORPHISM):
             a, b = mv.entries[(x, y1)], mv.entries[(x, y2)]
@@ -122,7 +117,7 @@ def _check_equality(claim: PosetClaim) -> ClaimResult:
 def _check_inclusion(claim: PosetClaim) -> ClaimResult:
     n_max = _corpus_bound(claim.params)
     checked = 0
-    for gid, g in _corpus(n_max):
+    for gid, g in corpus_upto(n_max):
         mv = classify_finite(g)
         if mv.get(claim.lhs).holds and not mv.get(claim.rhs).holds:
             return ClaimResult(claim, False, f"{gid} holds {claim.lhs} but not {claim.rhs}")
@@ -132,7 +127,7 @@ def _check_inclusion(claim: PosetClaim) -> ClaimResult:
 
 def _check_monotone(claim: PosetClaim) -> ClaimResult:
     n_max = _corpus_bound(claim.params)
-    for gid, g in _corpus(n_max):
+    for gid, g in corpus_upto(n_max):
         violations = classify_finite(g).monotonicity_violations()
         if violations:
             return ClaimResult(claim, False, f"{gid}: {violations[0]}")
@@ -142,7 +137,7 @@ def _check_monotone(claim: PosetClaim) -> ClaimResult:
 def _check_bottom_echo(claim: PosetClaim) -> ClaimResult:
     n_max = _corpus_bound(claim.params)
     want_empty_too = claim.rhs == "complete-or-empty"
-    for gid, g in _corpus(n_max):
+    for gid, g in corpus_upto(n_max):
         if not classify_finite(g).get(claim.lhs).holds:
             continue
         ok = g.is_complete() or (want_empty_too and g.is_empty_graph())
@@ -162,7 +157,7 @@ def _is_equal_size_clique_union(g: FiniteGraph) -> bool:
 def _check_disconnected_ih(claim: PosetClaim) -> ClaimResult:
     n_max = _corpus_bound(claim.params)
     hits = 0
-    for gid, g in _corpus(n_max):
+    for gid, g in corpus_upto(n_max):
         if len(connected_components(g)) < 2:
             continue
         if not classify_finite(g).get("IH").holds:

@@ -173,18 +173,15 @@ def _cmd_verify_poset(args) -> int:
 
 
 def _cmd_age(args) -> int:
-    src = _load_source(args)
-    horizon = args.horizon if isinstance(src, OracleGraph) else None
-    entries = compute_age(src, args.k, horizon=horizon)
+    entries = compute_age(_load_source(args), args.k, horizon=args.horizon)
     print(age_report(entries))
     return 0
 
 
 def _cmd_check(args) -> int:
     src = _load_source(args)
-    horizon = args.horizon if isinstance(src, OracleGraph) else None
     if args.what in PROPERTY_NAMES:
-        rep = check_property(src, args.what, args.k, horizon=horizon, window=args.window)
+        rep = check_property(src, args.what, args.k, horizon=args.horizon, window=args.window)
         v = rep.verdict
         extra = f" cases={rep.cases} unwitnessed={rep.unwitnessed}"
         print(f"property {args.what}: {v.status.value}{extra}")
@@ -193,7 +190,7 @@ def _cmd_check(args) -> int:
                   + (f" stuck={v.stuck}" if v.stuck is not None else "")
                   + (f" [{v.certificate}]" if v.certificate else ""))
         return 1 if v.status is Status.FAILS else 0
-    rep = check_criterion(src, args.what, args.k, horizon=horizon)
+    rep = check_criterion(src, args.what, args.k, horizon=args.horizon)
     print(rep.report())
     return 1 if rep.verdict.status is Status.FAILS else 0
 

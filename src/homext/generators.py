@@ -95,14 +95,21 @@ class CompositeStructure(GraphStructure):
             return v // int(self.n)
         return v % int(self.m)
 
+    def member(self, b: int, j: int) -> int:
+        """Vertex ``j`` of block ``b`` (the inverse of :meth:`block`); increasing in ``j``."""
+        if self.m == OMEGA and self.n == OMEGA:
+            return (b + j) * (b + j + 1) // 2 + j
+        if self.m == OMEGA:
+            return b * int(self.n) + j
+        return b + j * int(self.m)
+
     def cone_candidates(self, zset: frozenset[int]) -> list[int] | None:
         blocks = {self.block(v) for v in zset}
         if len(blocks) >= 2:
             return []  # adjacency never crosses blocks
         if self.n != OMEGA and self.m == OMEGA and blocks:  # cones over nothing: unconfined
-            b = next(iter(blocks))
-            size = int(self.n)
-            return [b * size + j for j in range(size)]
+            (b,) = blocks
+            return [self.member(b, j) for j in range(int(self.n))]
         return None
 
     def cocone_candidates(self, wset: frozenset[int]) -> list[int] | None:
@@ -114,27 +121,19 @@ class CompositeStructure(GraphStructure):
         return None
 
     def cocone_witness(self, hset: frozenset[int]) -> int | None:
-        if self.m != OMEGA:
-            touched = {self.block(v) for v in hset}
-            if len(touched) >= int(self.m):
-                return None
-        # first vertex in an untouched block
-        v = 0
-        touched = {self.block(u) for u in hset}
-        while self.block(v) in touched or v in hset:
-            v += 1
-        return v
+        touched = {self.block(v) for v in hset}
+        if self.m != OMEGA and len(touched) >= int(self.m):
+            return None
+        # the least vertex of an untouched block: the first vertex of the least one
+        return self.member(min(set(range(len(touched) + 1)) - touched), 0)
 
     def cone_witness(self, hset: frozenset[int]) -> int | None:
         blocks = {self.block(v) for v in hset}
         if len(blocks) >= 2:
             return None
         b = next(iter(blocks)) if blocks else 0
-        if self.n != OMEGA:
-            members = (b * int(self.n) + j for j in range(int(self.n)))
-        else:
-            members = (v for v in itertools.count() if self.block(v) == b)
-        for v in members:
+        size = len(hset) + 1 if self.n == OMEGA else int(self.n)  # one member is free
+        for v in (self.member(b, j) for j in range(size)):
             if v not in hset:
                 return v
         return None

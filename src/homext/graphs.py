@@ -211,19 +211,6 @@ def _encode_upper(g: FiniteGraph, pos: Sequence[int]) -> int:
     return enc
 
 
-def _decode_upper(n: int, enc: int) -> FiniteGraph:
-    rows = [0] * n
-    nbits = n * (n - 1) // 2
-    k = nbits
-    for i in range(n):
-        for j in range(i + 1, n):
-            k -= 1
-            if enc >> k & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return FiniteGraph(n, tuple(rows))
-
-
 def canonical_form(
     g: FiniteGraph, *, cap: int = CANONICAL_CAP
 ) -> tuple[FiniteGraph, tuple[int, ...]]:
@@ -255,11 +242,11 @@ def canonical_form(
         enc = _encode_upper(g, pos)
         if best_enc is None or enc < best_enc:
             best_enc, best_pos = enc, pos
-    assert best_pos is not None and best_enc is not None
+    assert best_pos is not None
     perm = [0] * g.n
     for i, v in enumerate(best_pos):
         perm[v] = i
-    return _decode_upper(g.n, best_enc), tuple(perm)
+    return relabel(g, perm), tuple(perm)
 
 
 def relabel(g: FiniteGraph, perm: Sequence[int]) -> FiniteGraph:

@@ -115,18 +115,11 @@ class PartialMap:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
     def is_injective(self) -> bool:
         return len({t for _, t in self.pairs}) == len(self.pairs)
 
     def extended(self, source: int, target: int) -> "PartialMap":
         return PartialMap.from_pairs(self.pairs + ((source, target),))
-
-    def restricted(self, vertices: Iterable[int]) -> "PartialMap":
-        keep = set(vertices)
-        return PartialMap(tuple(p for p in self.pairs if p[0] in keep))
 
     def serialize(self) -> str:
         return ",".join(f"{s}->{t}" for s, t in self.pairs)

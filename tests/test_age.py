@@ -1,5 +1,7 @@
+import collections
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -159,6 +161,18 @@ class TestCopies:
         keyed = {(key, induced_subgraph(g, subset)) for subset, key, _, _ in copies}
         assert len(keyed) == len({key for key, _ in keyed}) == len({p for _, p in keyed})
 
+    def test_walk_holds_only_its_path(self):
+        # 35,442 copies of G(22, 1/2) up to size 5; a walk keeping a level of
+        # C(22, 4) subsets with their columns peaks in the megabytes
+        g = random_graph(22, random.Random(22))
+        tracemalloc.start()
+        try:
+            collections.deque(_copies(g.rows, g.n, 5), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
 
 class RecordingStructure(GraphStructure):
     """Delegates to a declared structure and records every question asked."""
@@ -310,6 +324,16 @@ class TestConeFlags:
         assert any(line.startswith("violation") for line in lines)
 
 
+def bijective_hom_exists(a, b):
+    """Reference for the surjective-monomorphism order: try every bijection."""
+    if a.n != b.n:
+        return False
+    return any(
+        all(b.adj(perm[u], perm[v]) for u, v in a.edges())
+        for perm in itertools.permutations(range(b.n))
+    )
+
+
 class TestOrders:
     def test_path_folds_onto_edge(self):
         assert order_preceq(P3, complete(2))
@@ -332,6 +356,17 @@ class TestOrders:
                 for c in entries:
                     if rel[(a, b)] and rel[(b, c)]:
                         assert rel[(a, c)]
+
+    def test_sq_equals_permutation_search_on_corpus(self, corpus5):
+        graphs = [g for _, g in corpus5]
+        assert len(graphs) ** 2 == 2704
+        for a in graphs:
+            for b in graphs:
+                assert order_sqsubseteq(a, b) == bijective_hom_exists(a, b)
+
+    @given(finite_graphs(max_n=6), finite_graphs(max_n=6))
+    def test_sq_equals_permutation_search(self, a, b):
+        assert order_sqsubseteq(a, b) == bijective_hom_exists(a, b)
 
     def test_sq_implies_preceq(self):
         graphs = [e.graph for e in compute_age(C5, 3)]

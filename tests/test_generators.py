@@ -135,6 +135,29 @@ class TestDeclaredStructures:
         assert structure.cocone_candidates(frozenset()) is None
 
 
+COMPOSITES = sorted(name for name in STRUCTURED if name.startswith("comp"))
+
+
+@pytest.mark.parametrize("name", COMPOSITES)
+class TestCompositeClosedForms:
+    def test_member_inverts_block(self, name):
+        structure = STRUCTURED[name].structure
+        for b in range(6 if structure.m == OMEGA else structure.m):
+            fibre = [v for v in range(CONTRACT_TRUNCATION) if structure.block(v) == b]
+            assert [structure.member(b, j) for j in range(min(len(fibre), 5))] == fibre[:5]
+
+    @settings(max_examples=150)
+    @given(st.frozensets(st.integers(0, 23), max_size=4))
+    def test_witnesses_are_least(self, name, s):
+        # a brute-force walk up the vertices finds the least cone and co-cone
+        structure, rows = STRUCTURED[name].structure, _contract_rows(name)
+        outside = [v for v in range(CONTRACT_TRUNCATION) if v not in s]
+        cone = next((v for v in outside if all(rows[v] >> u & 1 for u in s)), None)
+        cocone = next((v for v in outside if not any(rows[v] >> u & 1 for u in s)), None)
+        assert structure.cone_witness(s) == cone
+        assert structure.cocone_witness(s) == cocone
+
+
 class TestRSFamily:
     def test_low_pair_adjacency_at_two(self):
         o = rs_graph(2)

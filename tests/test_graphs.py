@@ -144,9 +144,12 @@ class TestCanonicalForm:
     def test_complete_fixed(self):
         assert canonical_form(complete(3))[0] == complete(3)
 
-    def test_permutation_maps_to_canonical(self):
-        canon, perm = canonical_form(C5)
-        assert relabel(C5, perm) == canon
+    @given(finite_graphs(max_n=7))
+    def test_permutation_maps_to_canonical(self, g):
+        canon, perm = canonical_form(g)
+        assert sorted(perm) == list(range(g.n))
+        assert relabel(g, perm) == canon
+        assert canonical_form(canon)[0] == canon
 
     def test_eleven_classes_on_four_vertices(self):
         pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
