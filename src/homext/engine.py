@@ -10,7 +10,8 @@ asks two memoized backtracking extenders (H and A) about them, and stops
 once the first failure of each of the six (X, H or A) pairs is known; the
 18 verdicts are read off those.  For oracle graphs a back-and-forth schedule
 reads the bitset rows of one truncation, so a malformed (asymmetric or
-reflexive) oracle raises GraphError.  Past the truncation the schedule asks
+reflexive) oracle raises GraphError; a sweep builds traces only for the
+certified witnesses it keeps.  Past the truncation the schedule asks
 the generator's declared structure for complete candidate lists only (the
 list half of the helper shared with the age layer), and the predicate only
 about the listed vertices.  A negative verdict is definite only when the
@@ -27,7 +28,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .graphs import FiniteGraph, GraphError, OracleGraph, _bits, connected_components
-from .graphs import induced_subgraph, oracle_truncate
+from .graphs import oracle_truncate
 from .morphisms import (
     EndoKind,
     MorphismKind,
@@ -494,10 +495,6 @@ class ExtensionTrace:
     stuck_side: str | None = None
     certificate: str | None = None
 
-    @property
-    def is_stuck(self) -> bool:
-        return self.outcome == "stuck"
-
 
 def _check_bounds(*, horizon=None, depth=None, window=None) -> None:
     # a bound below its least value would sweep nothing and report a vacuous unknown
@@ -578,72 +575,80 @@ def back_and_forth(
     and every vertex of ``f``), so each step's candidates are one AND of
     rows; an asymmetric or reflexive ``o`` raises :class:`GraphError`, and so
     does a horizon below 1 or a negative depth.  A stuck step is looked at
-    past the truncation through :func:`_listed_past_truncation`.
+    past the truncation through :func:`_listed_past_truncation`.  The trace is
+    built from the schedule's result by the builder that
+    :func:`decide_xy_bounded` calls only for the witnesses it keeps.
     """
     _check_bounds(horizon=horizon, depth=depth)
     t = _truncation(o, f, horizon)
-    return _back_and_forth(
-        o, t.rows, f, y, f_kind=classify_map(t, f), depth=depth, horizon=horizon, x=x
-    )
-
-
-def _back_and_forth(
-    o: OracleGraph, rows, f: PartialMap, y: EndoKind, *, f_kind, depth, horizon, x
-) -> ExtensionTrace:
-    # rows cover the horizon and every vertex of f; f_kind is the kind of f
-    cert_kind = y.required_kind
-    kind = cert_kind if x is None else max(x, cert_kind)
+    f_kind = classify_map(t, f)
+    kind = y.required_kind if x is None else max(x, y.required_kind)
     if f_kind < kind:
         raise GraphError(f"map is below the kind required for Y={y.value}")
+    return _trace(f, y, kind, f_kind, _schedule(o, t.rows, f, y, kind, depth, horizon))
+
+
+def _schedule(o: OracleGraph, rows, f: PartialMap, y: EndoKind, kind, depth, horizon):
+    """The schedule of :func:`back_and_forth` at step kind ``kind``, on rows covering
+    the horizon and ``f``: ``(added pairs in step order, outcome, stuck vertex,
+    stuck side, confinement from :func:`_listed_past_truncation` or None)``."""
+    cert_kind = y.required_kind
     surj = y.needs_surjective
-    header = f"schedule for Y={y.value}: step kind {kind.name}"
-    header += ", alternating preimage/extension" if surj else ", extension only"
-    if surj and kind > cert_kind:
-        header += (
-            f" (preimage steps kept at {kind.name} so stuck prefixes stay"
-            f" valid witnesses)"
-        )
-    elif y is EndoKind.E and f_kind is MorphismKind.ISOMORPHISM:
-        header += " (isomorphism start driven by image-side preimage steps)"
-    trace = ExtensionTrace(initial=f, y=y, header=header)
     horizon_mask = (1 << horizon) - 1
     domain = image = 0
     for u, fu in f.pairs:
         domain |= 1 << u
         image |= 1 << fu
-    pairs = list(f.pairs)
+    pairs, start = list(f.pairs), len(f.pairs)
     for step in range(depth):
         side = "preimage" if surj and step % 2 == 0 else "extension"
         free = horizon_mask & ~(image if side == "preimage" else domain)
         if not free:
-            trace.outcome = "horizon-exhausted"
-            break
+            return pairs[start:], "horizon-exhausted", None, None, None
         target = (free & -free).bit_length() - 1
         mask = _step_mask(rows, pairs, target, side, kind, horizon_mask)
         if not mask:
-            trace.outcome = "stuck"
-            trace.stuck_vertex = target
-            trace.stuck_side = side
+            confined = None
             # certified only if the step is stuck at the weaker kind cert_kind too
             if not _step_mask(rows, pairs, target, side, cert_kind, horizon_mask):
                 # only a complete list can confine, so no witness is asked for
                 _, confined = _listed_past_truncation(
                     o, *_step_sets(rows, pairs, target, side, cert_kind), side == "preimage"
                 )
-                if confined:
-                    co, s, listed = confined
-                    where = "preimage" if side == "preimage" else "image"
-                    over = f"{'co-cones' if co else 'cones'} over {sorted(s)} = {sorted(listed)}"
-                    trace.certificate = f"{where} of {target} confined to {over}; exhausted"
-            break
+            return pairs[start:], "stuck", target, side, confined
         v = (mask & -mask).bit_length() - 1
         pair = (v, target) if side == "preimage" else (target, v)
         domain |= 1 << pair[0]
         image |= 1 << pair[1]
         pairs.append(pair)
-        trace.steps.append(TraceStep(step, side, pair, f"least {side} candidate"))
-    trace.final = PartialMap(tuple(sorted(pairs)))
-    return trace
+    return pairs[start:], "depth-reached", None, None, None
+
+
+def _trace(f: PartialMap, y: EndoKind, kind, f_kind, run) -> ExtensionTrace:
+    """The :class:`ExtensionTrace` of a :func:`_schedule` result ``run`` from ``f``."""
+    added, outcome, stuck, stuck_side, confined = run
+    surj = y.needs_surjective
+    header = f"schedule for Y={y.value}: step kind {kind.name}"
+    header += ", alternating preimage/extension" if surj else ", extension only"
+    if surj and kind > y.required_kind:
+        header += f" (preimage steps kept at {kind.name} so stuck prefixes stay valid witnesses)"
+    elif y is EndoKind.E and f_kind is MorphismKind.ISOMORPHISM:
+        header += " (isomorphism start driven by image-side preimage steps)"
+    certificate = None
+    if confined:
+        co, s, listed = confined
+        where = "preimage" if stuck_side == "preimage" else "image"
+        over = f"{'co-cones' if co else 'cones'} over {sorted(s)} = {sorted(listed)}"
+        certificate = f"{where} of {stuck} confined to {over}; exhausted"
+    steps = []
+    for i, pair in enumerate(added):
+        side = "preimage" if surj and i % 2 == 0 else "extension"
+        steps.append(TraceStep(i, side, pair, f"least {side} candidate"))
+    return ExtensionTrace(
+        initial=f, y=y, header=header, steps=steps,
+        final=PartialMap(tuple(sorted((*f.pairs, *added)))), outcome=outcome,
+        stuck_vertex=stuck, stuck_side=stuck_side, certificate=certificate,
+    )
 
 
 def decide_xy_bounded(
@@ -664,18 +669,21 @@ def decide_xy_bounded(
     by kind-preserving steps, so it is itself a kind-``x`` morphism with no
     kind-``y`` extension anywhere in the graph: the verdict's witnesses are
     those prefix maps, and ``details`` pairs each with its starting map and
-    trace.  Uncertified stuck steps only contribute to the UnknownAtBound
-    accounting.  One truncation, to ``max(horizon, window)``, serves every
-    schedule (see :func:`back_and_forth`).  A window or horizon below 1 or a
-    negative depth raises :class:`GraphError`.
+    trace, the only traces the sweep builds.  Uncertified stuck steps only
+    contribute to the UnknownAtBound accounting.  One truncation, to
+    ``max(horizon, window)``, serves every schedule and, as its prefix, the
+    window (see :func:`back_and_forth`); later sweeps on ``o`` read it from
+    the oracle's memo.  A window or horizon below 1 or a negative depth raises
+    :class:`GraphError`.
     """
     _check_bounds(horizon=horizon, depth=depth, window=window)
     window = min(horizon, DEFAULT_WINDOW) if window is None else window
     t = oracle_truncate(o, max(horizon, window))
     definite: list[tuple[PartialMap, ExtensionTrace]] = []
     stuck_uncertified = 0
-    maps = list(enumerate_local_morphisms(induced_subgraph(t, range(window)), x, k))
+    maps = list(enumerate_local_morphisms(oracle_truncate(o, window), x, k))
     maps.sort(key=lambda f: (len(f.pairs), f.domain, f.values))
+    step_kind = max(x, y.required_kind)
     for f in maps:
         kind = classify_map(t, f)
         if kind < y.required_kind:
@@ -694,14 +702,11 @@ def decide_xy_bounded(
             )
             definite.append((f, trace))
             continue
-        trace = _back_and_forth(
-            o, t.rows, f, y, f_kind=kind, depth=depth, horizon=horizon, x=x
-        )
-        if trace.is_stuck:
-            if trace.certificate:
-                definite.append((f, trace))
-            else:
-                stuck_uncertified += 1
+        run = _schedule(o, t.rows, f, y, step_kind, depth, horizon)
+        if run[4]:  # a confinement certifies the stuck step
+            definite.append((f, _trace(f, y, step_kind, kind, run)))
+        elif run[1] == "stuck":
+            stuck_uncertified += 1
     bounds = {
         "max_domain": k,
         "horizon": horizon,

@@ -144,7 +144,8 @@ def composite(
 ):
     """Disjoint union of ``m`` cliques of size ``n`` (either may be ``OMEGA``).
 
-    Finite ``m`` and ``n`` give a :class:`FiniteGraph` with contiguous blocks.
+    Finite ``m`` and ``n`` give a :class:`FiniteGraph` with contiguous blocks
+    (empty when either is 0); 0 beside ``OMEGA`` raises :class:`GraphError`.
     Otherwise an :class:`OracleGraph` is returned (or its truncation when
     ``truncate`` is given): blocks are ``i // n`` for finite ``n``, ``i % m``
     for finite ``m``, and Cantor-diagonal fibers when both are omega.
@@ -152,6 +153,8 @@ def composite(
     for tok in (m, n):
         if tok != OMEGA and (not isinstance(tok, int) or tok < 0):
             raise GraphError(f"bad composite parameter {tok!r}")
+    if OMEGA in (m, n) and 0 in (m, n):  # no vertices at all, and block() would divide by 0
+        raise GraphError(f"composite parameter 0 beside {OMEGA}")
     if m != OMEGA and n != OMEGA:
         g = lex_product(independent(int(m)), complete(int(n), cap=cap), cap=cap)
         if truncate is not None and truncate < g.n:

@@ -4,7 +4,8 @@ A :class:`FiniteGraph` is a simple undirected loopless graph on vertices
 ``0..n-1`` with adjacency stored as one bitmask per vertex.  An
 :class:`OracleGraph` is a countably infinite graph given by a total, pure
 adjacency predicate on pairs of naturals; it is analyzed through finite
-truncations.  All types are immutable and all operations are pure.
+truncations.  All types are immutable and all operations are pure, save one
+memo: an oracle keeps the largest truncation :func:`oracle_truncate` validated.
 """
 
 from __future__ import annotations
@@ -112,13 +113,16 @@ class OracleGraph:
     trust it.  ``structure`` optionally carries the generator's declared
     structural facts (cone/co-cone confinement and witness rules) which
     bounded checkers use to certify verdicts that a truncation alone cannot
-    settle.
+    settle.  A private field, outside ``repr`` and ``==`` and not copied by
+    ``dataclasses.replace``, keeps the largest truncation validated so far.
     """
 
     adjacency: Callable[[int, int], bool]
     name: str
     metadata: Mapping[str, object] = field(default_factory=dict)
     structure: object | None = None
+    # the largest truncation oracle_truncate validated; replace() starts empty
+    _truncated: FiniteGraph = field(default=FiniteGraph(0, ()), init=False, repr=False, compare=False)
 
     def adj(self, i: int, j: int) -> bool:
         if i == j:
@@ -297,9 +301,15 @@ def oracle_truncate(o: OracleGraph, n: int) -> FiniteGraph:
 
     The predicate is probed on both orientations of every pair; asymmetry or a
     reflexive edge is reported as an error rather than silently repaired.
+    The largest truncation validated so far is kept on ``o``, so a read of
+    that size or smaller is a masked prefix of its rows and probes nothing; a
+    larger read probes every pair again, and a read that raises keeps nothing.
     """
     if n < 0:
         raise GraphError(f"negative truncation size {n}")
+    kept, mask = o._truncated, (1 << n) - 1
+    if n <= kept.n:
+        return FiniteGraph(n, tuple(r & mask for r in kept.rows[:n]))
     rows = [0] * n
     for i in range(n):
         if o.adjacency(i, i):
@@ -311,4 +321,6 @@ def oracle_truncate(o: OracleGraph, n: int) -> FiniteGraph:
             if ij:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return FiniteGraph(n, tuple(rows))
+    t = FiniteGraph(n, tuple(rows))
+    object.__setattr__(o, "_truncated", t)  # the one write to a frozen OracleGraph
+    return t

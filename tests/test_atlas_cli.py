@@ -149,6 +149,11 @@ class TestCli:
         assert main(["age", "--gen", "comp", "2", "3", "--k", "0"]) == 2
         assert "at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params", [["w", "0"], ["0", "w"]])
+    def test_age_command_rejects_zero_beside_omega(self, params, capsys):
+        assert main(["age", "--gen", "comp", *params, "--k", "2", "--horizon", "4"]) == 2
+        assert "0 beside" in capsys.readouterr().err
+
     def test_age_command_rejects_horizon_below_one(self, capsys):
         assert main(["age", "--gen", "rs", "3", "--k", "2", "--horizon", "0"]) == 2
         assert "at least 1" in capsys.readouterr().err

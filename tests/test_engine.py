@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import pytest
@@ -649,6 +650,31 @@ class TestDecideBounded:
                 assert decide_xy_bounded(listless, x, y, **bounds).report_line(x, y) == (
                     decide_xy_bounded(o, x, y, **bounds).report_line(x, y)
                 )
+
+    # sha256 over the 18 report lines and reprs of ``details`` at PIN_BOUNDS,
+    # recorded before the schedule loop and the trace builder were split
+    PIN_BOUNDS = dict(k=2, window=4, horizon=16, depth=8)
+    PINNED = {
+        "rs3": ("cf38caeb31172cd151eddaa274405cf073141cc8390adca082c3b9d7c4bbdbd5", 427),
+        "comp": ("1c7f69f18059e0eeccbd2a48e8586b971da6dadc20f133905e54ddf1b991961a", 120),
+        "radoplus": ("2c662f90e9f2537d8f959b6dba6cae1f4234cef6b7a73c8ec225e2d52c614c4f", 479),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_kept_traces_are_pinned_and_rebuilt_by_back_and_forth(self, name):
+        o, digest, kept = STEP_ORACLES[name], hashlib.sha256(), 0
+        for x in X_KINDS:
+            for y in Y_KINDS:
+                v = decide_xy_bounded(o, x, y, **self.PIN_BOUNDS)
+                digest.update(f"{v.report_line(x, y)}\n{v.details!r}\n".encode())
+                kept += len(v.details)
+                for f, trace in v.details:
+                    if trace.header == "kind obstruction":
+                        with pytest.raises(GraphError):
+                            back_and_forth(o, f, y, depth=8, horizon=16, x=x)
+                    else:
+                        assert trace == back_and_forth(o, f, y, depth=8, horizon=16, x=x)
+        assert (digest.hexdigest(), kept) == self.PINNED[name]
 
     def test_iso_to_embedding_failure_certified(self):
         # the modular family is not self-embedding homogeneous: an isomorphism

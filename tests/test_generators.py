@@ -75,6 +75,15 @@ class TestBasicFamilies:
             for comp in connected_components(g):
                 assert induced_subgraph(g, comp).is_complete()
 
+    @pytest.mark.parametrize("m,n", [(OMEGA, 0), (0, OMEGA)])
+    def test_composite_rejects_zero_beside_omega(self, m, n):
+        # block() used to divide by the 0 on the first adjacency query
+        with pytest.raises(GraphError, match="0 beside"):
+            composite(m, n)
+
+    def test_composite_finite_zero_is_empty(self):
+        assert composite(0, 3) == composite(3, 0) == FiniteGraph(0, ())
+
     def test_composite_cones_over_nothing_unconfined(self):
         # every vertex is a cone over the empty set, and comp(w, 2) has infinitely many
         assert composite(OMEGA, 2).structure.cone_candidates(frozenset()) is None

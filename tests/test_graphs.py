@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -206,3 +207,61 @@ class TestOracleTruncate:
         bad = OracleGraph(lambda i, j: True, name="loops")
         with pytest.raises(GraphError):
             oracle_truncate(bad, 2)
+
+
+def counted(adjacency):
+    """An oracle around ``adjacency`` and the list its predicate calls are counted in."""
+    calls = [0]
+
+    def counting(i, j):
+        calls[0] += 1
+        return adjacency(i, j)
+
+    return OracleGraph(counting, name="counted"), calls
+
+
+class TestTruncationMemo:
+    def test_same_or_smaller_reads_probe_nothing(self):
+        o, calls = counted(rs_graph(3).adjacency)
+        first = oracle_truncate(o, 32)
+        assert calls[0] > 0
+        calls[0] = 0
+        assert oracle_truncate(o, 32) == first == oracle_truncate(rs_graph(3), 32)
+        assert oracle_truncate(o, 16) == oracle_truncate(rs_graph(3), 16)
+        assert oracle_truncate(o, 0) == FiniteGraph(0, ())
+        assert calls[0] == 0
+
+    def test_larger_read_probes_again(self):
+        o, calls = counted(rado_bit().adjacency)
+        oracle_truncate(o, 32)
+        calls[0] = 0
+        assert oracle_truncate(o, 40) == oracle_truncate(rado_bit(), 40)
+        assert calls[0] > 0
+        calls[0] = 0
+        assert oracle_truncate(o, 32) == oracle_truncate(rado_bit(), 32)
+        assert calls[0] == 0
+
+    def test_bad_pair_raises_on_every_read_reaching_it(self):
+        o, calls = counted(lambda i, j: (i, j) == (3, 20))
+        assert oracle_truncate(o, 16) == FiniteGraph(16, (0,) * 16)
+        for _ in range(3):
+            calls[0] = 0
+            with pytest.raises(GraphError, match=r"asymmetric on \(3, 20\)"):
+                oracle_truncate(o, 32)
+            assert calls[0] > 0
+        assert oracle_truncate(o, 16) == FiniteGraph(16, (0,) * 16)
+
+    def test_replace_never_serves_the_old_rows(self):
+        o = rs_graph(3)
+        oracle_truncate(o, 32)
+        other = dataclasses.replace(o, adjacency=lambda i, j: i != j)
+        assert oracle_truncate(other, 16) == complete(16)
+        assert oracle_truncate(other, 32) == complete(32)
+
+    def test_repr_and_equality_ignore_the_memo(self):
+        o = rs_graph(3)
+        before = repr(o)
+        oracle_truncate(o, 20)
+        assert repr(o) == before
+        assert "FiniteGraph" not in before
+        assert o == dataclasses.replace(o)
