@@ -19,9 +19,6 @@ from .morphisms import (
     PartialMap,
     classify_map,
     enumerate_local_morphisms,
-    kernel,
-    neighborhood_indicator,
-    transversal,
 )
 from .engine import (
     MembershipVector,

@@ -13,14 +13,15 @@ independence/star statistics with their inequality.
 Every search inside a truncation runs on its bitset rows.  The copies of
 each size are walked depth first, holding only the path: a copy's pattern
 key extends its prefix's by the new vertex's row bits on the members, and
-its cone and co-cone masks are its prefix's with one row AND each.  A star or
-dagger step takes its candidates from the engine's kernel
-:func:`~homext.morphisms._step_mask`.  Each call canonicalises one copy per
-labelled pattern it meets and keeps nothing afterwards.  Only an oracle step
-left without a candidate in the truncation looks past it, through the
-engine's one helper :func:`~homext.engine._past_truncation`: the declared
-structure is asked for complete candidate lists first, then for a witness,
-and the predicate about the listed vertices and the witness.
+its cone and co-cone masks are its prefix's with one row AND each.  The
+orders' searches and every star or dagger step take their candidates from
+the engine's kernel :func:`~homext.morphisms._step_mask`.  Each call
+canonicalises one copy per labelled pattern it meets and keeps nothing
+afterwards.  Only an oracle step left without a candidate in the truncation
+looks past it, through the engine's one helper
+:func:`~homext.engine._past_truncation`: the declared structure is asked for
+complete candidate lists first, then for a witness, and the predicate about
+the listed vertices and the witness.
 """
 
 from __future__ import annotations
@@ -201,48 +202,53 @@ def _age_table(
 
 
 def age_report(entries: list[AgeEntry]) -> str:
-    """Entry lines followed by closure-violation lines, if any."""
+    """Entry lines followed by the definite breaks of the closure laws, if any."""
     lines = [e.report_line() for e in entries]
-    lines.extend(order_violation_lines(entries))
-    return "\n".join(lines)
-
-
-def order_violation_lines(entries: list[AgeEntry]) -> list[str]:
-    """Definite breaks of the closure laws among the computed entries."""
-    out = []
+    yes, no = Flag.YES, Flag.NO
     for a in entries:
         for b in entries:
             if a is b:
                 continue
-            if a.kk is Flag.YES and b.kk is Flag.NO and order_preceq(a.graph, b.graph):
-                out.append(
-                    f"violation: coned {a.graph6} maps onto cone-free {b.graph6}"
-                )
-            if a.hh is Flag.YES and b.hh is Flag.NO and order_preceq(b.graph, a.graph):
-                out.append(
-                    f"violation: cocone-free {b.graph6} maps onto coconed {a.graph6}"
-                )
-    return out
+            if a.kk is yes and b.kk is no and _related(a, b, order_preceq, upward=True):
+                lines.append(f"violation: coned {a.graph6} maps onto cone-free {b.graph6}")
+            if a.hh is yes and b.hh is no and _related(a, b, order_preceq, upward=False):
+                lines.append(f"violation: cocone-free {b.graph6} maps onto coconed {a.graph6}")
+    return "\n".join(lines)
+
+
+def _related(a: AgeEntry, b: AgeEntry, order, *, upward: bool) -> bool:
+    """``a`` below ``b`` in ``order`` (upward), or above it."""
+    return order(a.graph, b.graph) if upward else order(b.graph, a.graph)
 
 
 def order_preceq(a: FiniteGraph, b: FiniteGraph) -> bool:
-    """Existence of a surjective homomorphism from ``a`` onto ``b``."""
+    """Existence of a surjective homomorphism from ``a`` onto ``b``.
+
+    The search runs on the engine's kernel over the rows of the disjoint
+    union of ``a`` and ``b``, where ``b``'s vertex ``d`` is ``a.n + d``:
+    vertex ``pos`` of ``a`` takes its candidates from one
+    :func:`~homext.morphisms._step_mask`, and a branch is cut once the
+    vertices left cannot cover the part of ``b`` outside the image."""
     if a.n < b.n:
         return False
-    target = list(range(b.n))
+    rows = a.rows + tuple(r << a.n for r in b.rows)
+    onto = (1 << a.n + b.n) - (1 << a.n)
 
-    def rec(pos: int, values: list[int]) -> bool:
-        if pos == a.n:
-            return len(set(values)) == b.n
-        if len(set(values)) + (a.n - pos) < b.n:
+    def rec(pairs: tuple[tuple[int, int], ...], image: int) -> bool:
+        pos = len(pairs)
+        if (onto & ~image).bit_count() > a.n - pos:
             return False
-        for d in target:
-            fits = all(b.adj(values[q], d) for q in range(pos) if a.adj(q, pos))
-            if fits and rec(pos + 1, values + [d]):
+        if pos == a.n:
+            return True
+        mask = _step_mask(rows, pairs, pos, "extension", MorphismKind.HOMOMORPHISM, onto)
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            if rec(pairs + ((pos, low.bit_length() - 1),), image | low):
                 return True
         return False
 
-    return rec(0, [])
+    return rec((), 0)
 
 
 def order_sqsubseteq(a: FiniteGraph, b: FiniteGraph) -> bool:
@@ -295,7 +301,8 @@ def _closure_condition(
 
     Upward closure: a Yes entry below a No entry is a violation.  Downward
     closure: a Yes entry above a No entry is a violation.  Unknown flags on
-    either side leave the condition undecided at this bound.
+    either side leave the condition undecided at this bound; a Yes entry on
+    the other side cannot break the law, so the order is not asked about it.
     """
     unknown = False
     for a in entries:
@@ -305,12 +312,9 @@ def _closure_condition(
         if fa is not Flag.YES:
             continue
         for b in entries:
-            if a is b:
-                continue
-            related = order(a.graph, b.graph) if upward else order(b.graph, a.graph)
-            if not related:
-                continue
             fb = getattr(b, attr)
+            if fb is Flag.YES or not _related(a, b, order, upward=upward):
+                continue
             if fb is Flag.NO:
                 return Verdict(
                     Status.FAILS,

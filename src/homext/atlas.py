@@ -90,15 +90,10 @@ def _verdict_cell(v: Verdict) -> dict:
     return cell
 
 
-def record_for(graph_id: str, g: FiniteGraph, provenance: dict | None = None) -> AtlasRecord:
+def record_for(graph_id: str, g: FiniteGraph) -> AtlasRecord:
     vector = {code: _verdict_cell(v) for code, v in classify_finite(g).items()}
     return AtlasRecord(
-        graph_id,
-        to_graph6(g),
-        g.n,
-        vector,
-        provenance or {"corpus": "exhaustive"},
-        {"mode": "finite-exact"},
+        graph_id, to_graph6(g), g.n, vector, {"corpus": "exhaustive"}, {"mode": "finite-exact"}
     )
 
 

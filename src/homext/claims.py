@@ -39,8 +39,8 @@ from .engine import (
     extend_finite,
     _component_confinement_note,
 )
-from .generators import OMEGA, composite, h3_prime, rado_bit, rado_plus_dominating_oracle, rs_graph
-from .graphs import FiniteGraph, GraphError, connected_components, induced_subgraph
+from .generators import composite, generate, h3_prime, rado_plus_dominating_oracle
+from .graphs import FiniteGraph, GraphError, OracleGraph, connected_components, induced_subgraph
 from .morphisms import EndoKind, MorphismKind, PartialMap, X_BY_NAME, classify_map
 
 
@@ -91,15 +91,34 @@ def parse_claims(text: str) -> list[PosetClaim]:
     return claims
 
 
+def _parsed(parse, text: str, what: str):
+    """``parse(text)``, with malformed claim text raised as :class:`GraphError`."""
+    try:
+        return parse(text)
+    except (IndexError, KeyError, ValueError):
+        raise GraphError(f"bad {what} {text!r}") from None
+
+
+def _ints(gen: str, args: tuple[str, ...], defaults: tuple[str | None, ...]) -> list[int]:
+    """``args`` as integers, missing trailing ones taken from ``defaults`` (``None``: required)."""
+    if len(args) > len(defaults) or None in defaults[len(args):]:
+        raise GraphError(f"{gen} expects {len(defaults)} parameter(s), got {len(args)}")
+    return [_parsed(int, a, f"{gen} parameter") for a in args + defaults[len(args):]]
+
+
 def _corpus_bound(params: tuple[str, ...]) -> int:
     for p in params:
         if p.startswith("n<="):
-            return int(p[3:])
+            return _parsed(int, p[3:], "corpus bound")
     raise GraphError(f"missing n<=K bound in {params}")
 
 
+def _xy(code: str) -> tuple[MorphismKind, EndoKind]:
+    return _parsed(lambda c: (X_BY_NAME[c[0]], EndoKind(c[1:])), code, "class code")
+
+
 def _check_equality(claim: PosetClaim) -> ClaimResult:
-    y1, y2 = EndoKind(claim.lhs), EndoKind(claim.rhs)
+    y1, y2 = (_parsed(EndoKind, c, "Y code") for c in (claim.lhs, claim.rhs))
     n_max = _corpus_bound(claim.params)
     checked = 0
     for gid, g in corpus_upto(n_max):
@@ -115,11 +134,12 @@ def _check_equality(claim: PosetClaim) -> ClaimResult:
 
 
 def _check_inclusion(claim: PosetClaim) -> ClaimResult:
+    lhs, rhs = _xy(claim.lhs), _xy(claim.rhs)
     n_max = _corpus_bound(claim.params)
     checked = 0
     for gid, g in corpus_upto(n_max):
         mv = classify_finite(g)
-        if mv.get(claim.lhs).holds and not mv.get(claim.rhs).holds:
+        if mv.entries[lhs].holds and not mv.entries[rhs].holds:
             return ClaimResult(claim, False, f"{gid} holds {claim.lhs} but not {claim.rhs}")
         checked += 1
     return ClaimResult(claim, True, f"{claim.lhs} within {claim.rhs} on {checked} graphs")
@@ -135,10 +155,11 @@ def _check_monotone(claim: PosetClaim) -> ClaimResult:
 
 
 def _check_bottom_echo(claim: PosetClaim) -> ClaimResult:
+    xy = _xy(claim.lhs)
     n_max = _corpus_bound(claim.params)
     want_empty_too = claim.rhs == "complete-or-empty"
     for gid, g in corpus_upto(n_max):
-        if not classify_finite(g).get(claim.lhs).holds:
+        if not classify_finite(g).entries[xy].holds:
             continue
         ok = g.is_complete() or (want_empty_too and g.is_empty_graph())
         if not ok:
@@ -168,10 +189,6 @@ def _check_disconnected_ih(claim: PosetClaim) -> ClaimResult:
     return ClaimResult(claim, True, f"{hits} disconnected IH graphs, all equal-clique unions")
 
 
-def _xy(code: str) -> tuple[MorphismKind, EndoKind]:
-    return X_BY_NAME[code[0]], EndoKind(code[1])
-
-
 def _h3prime_witness(size: int, seed: int) -> tuple[bool, str]:
     """Re-derive the two-point isomorphism that no injective endomorphism extends."""
     g, (u, v, w) = h3_prime(size, seed)
@@ -199,18 +216,12 @@ def _h3prime_witness(size: int, seed: int) -> tuple[bool, str]:
     return True, detail
 
 
-def _oracle_for(gen: str, args: tuple[str, ...]):
-    if gen == "rs":
-        return rs_graph(int(args[0]))
-    if gen == "rado":
-        return rado_bit()
-    if gen == "radoplus":
-        return rado_plus_dominating_oracle()
-    if gen == "comp":
-        m = OMEGA if args[0] in ("w", OMEGA) else int(args[0])
-        n = OMEGA if args[1] in ("w", OMEGA) else int(args[1])
-        return composite(m, n)
-    raise GraphError(f"no oracle presentation for generator {gen!r}")
+def _oracle_for(gen: str, args: tuple[str, ...]) -> OracleGraph:
+    # radoplus takes no parameters here: its oracle keeps the dominating vertex at 0
+    o = rado_plus_dominating_oracle() if gen == "radoplus" and not args else generate(gen, args)
+    if not isinstance(o, OracleGraph):
+        raise GraphError(f"no oracle presentation for {' '.join((gen, *args))!r}")
+    return o
 
 
 def _split_bounds(args: tuple[str, ...]) -> tuple[tuple[str, ...], dict]:
@@ -218,7 +229,9 @@ def _split_bounds(args: tuple[str, ...]) -> tuple[tuple[str, ...], dict]:
     for a in args:
         if "=" in a:
             key, val = a.split("=", 1)
-            bounds[key] = int(val)
+            if key not in ("k", "horizon", "depth", "window"):
+                raise GraphError(f"unknown bound {key!r}")
+            bounds[key] = _parsed(int, val, f"bound {key}")
         elif a != "-":
             plain.append(a)
     return tuple(plain), bounds
@@ -227,6 +240,7 @@ def _split_bounds(args: tuple[str, ...]) -> tuple[tuple[str, ...], dict]:
 def _check_separation(claim: PosetClaim) -> ClaimResult:
     gen = claim.params[0] if claim.params else ""
     args, bounds = _split_bounds(claim.params[1:])
+    xy1 = None if claim.lhs == "-" else _xy(claim.lhs)
     x2, y2 = _xy(claim.rhs)
     if claim.scope == "bounded-oracle":
         obj = _oracle_for(gen, args)
@@ -236,9 +250,8 @@ def _check_separation(claim: PosetClaim) -> ClaimResult:
         # the failing prefix must itself be a valid morphism of its sweep kind
         if classify_map(obj, v2.witness) < x2:
             return ClaimResult(claim, False, "witness below the required kind")
-        if claim.lhs != "-":
-            x1, y1 = _xy(claim.lhs)
-            v1 = decide_xy_bounded(obj, x1, y1, **bounds)
+        if xy1 is not None:
+            v1 = decide_xy_bounded(obj, *xy1, **bounds)
             if v1.fails:
                 return ClaimResult(claim, False, f"{claim.lhs} also failed definitively")
             detail = (
@@ -251,12 +264,10 @@ def _check_separation(claim: PosetClaim) -> ClaimResult:
         return ClaimResult(claim, True, detail)
     # finite scope: re-derive the named failure witness on the generated graph
     if gen == "h3prime":
-        size = int(args[0]) if args else 96
-        seed = int(args[1]) if len(args) > 1 else 0
-        ok, detail = _h3prime_witness(size, seed)
+        ok, detail = _h3prime_witness(*_ints(gen, args, ("96", "0")))
         return ClaimResult(claim, ok, detail)
     if gen == "comp":
-        m, n = int(args[0]), int(args[1])
+        m, n = _ints(gen, args, (None, None))
         g = composite(m, n)
         # monomorphism sending a cross-component nonedge onto an edge
         f = PartialMap.from_pairs([(0, 0), (n, 1)])

@@ -96,8 +96,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _read_text(path: Path) -> str:
+    """The text of ``path``; an unreadable file is an input error."""
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise GraphError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"cannot read {path}: not UTF-8 text") from exc
+
+
 def _read_graph(path: Path) -> FiniteGraph:
-    text = sys.stdin.read() if str(path) == "-" else path.read_text()
+    text = sys.stdin.read() if str(path) == "-" else _read_text(path)
     stripped = text.strip()
     if "\n" not in stripped and stripped and not stripped[0].isdigit():
         return from_graph6(stripped)
@@ -160,7 +170,7 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_verify_poset(args) -> int:
-    text = args.claims.read_text() if args.claims else DEFAULT_CLAIMS
+    text = _read_text(args.claims) if args.claims else DEFAULT_CLAIMS
     claims = parse_claims(text)
     failures = 0
     for claim in claims:

@@ -439,9 +439,7 @@ def _classified(g: FiniteGraph) -> MembershipVector:
     return MembershipVector(dict(zip(_XY_KEYS, verdicts)))
 
 
-def decide_xy_finite(
-    g: FiniteGraph, x: MorphismKind, y: EndoKind, *, cap: int = DECIDE_CAP
-) -> Verdict:
+def decide_xy_finite(g: FiniteGraph, x: MorphismKind, y: EndoKind) -> Verdict:
     """Exact verdict: does every local morphism of kind ``x`` extend to kind ``y``?
 
     Exhaustive over all local morphisms in (size, domain, images) order, so a
@@ -449,23 +447,23 @@ def decide_xy_finite(
     streamed sweep stops once the first failures of the six (X, H or A) pairs
     are known; Y in I, M, E, B shares A's witness (I = M = E = B = A as finite
     extension targets), and the verdict's ``stuck`` and ``note`` follow ``y``.
-    Size is capped (default :data:`DECIDE_CAP`): a sweep that does not stop
-    early enumerates every local morphism.
+    Size is capped at :data:`DECIDE_CAP`: a sweep that does not stop early
+    enumerates every local morphism.
     """
-    if g.n > cap:
-        raise GraphError(f"exact decision for n={g.n} exceeds cap {cap}")
+    if g.n > DECIDE_CAP:
+        raise GraphError(f"exact decision for n={g.n} exceeds cap {DECIDE_CAP}")
     return _classified(g).entries[(x, y)]
 
 
-def classify_finite(g: FiniteGraph, *, cap: int = DECIDE_CAP) -> MembershipVector:
+def classify_finite(g: FiniteGraph) -> MembershipVector:
     """All 18 verdicts at once, built from the witnesses of one streamed pass.
 
     The pass stops once the first failures of the six (X, H or A) pairs are
     known; I, M, E and B read A's, by the finite identity I = M = E = B = A.
     One ``stuck`` and one note per distinct witness; equal verdicts share one object.
     """
-    if g.n > cap:
-        raise GraphError(f"exact classification for n={g.n} exceeds cap {cap}")
+    if g.n > DECIDE_CAP:
+        raise GraphError(f"exact classification for n={g.n} exceeds cap {DECIDE_CAP}")
     return _classified(g)
 
 

@@ -42,16 +42,14 @@ OMEGA = "omega"
 GENERATOR_NAMES = ("k", "i", "comp", "rs", "rado", "knfree", "h3prime", "radoplus")
 
 
-def complete(n: int, *, cap: int | None = None) -> FiniteGraph:
+def complete(n: int) -> FiniteGraph:
     """Complete graph on ``n`` vertices."""
-    return FiniteGraph.from_edges(
-        n, itertools.combinations(range(n), 2), cap=cap
-    )
+    return FiniteGraph.from_edges(n, itertools.combinations(range(n), 2))
 
 
-def independent(n: int, *, cap: int | None = None) -> FiniteGraph:
+def independent(n: int) -> FiniteGraph:
     """Edgeless graph on ``n`` vertices."""
-    return FiniteGraph.from_edges(n, (), cap=cap)
+    return FiniteGraph.from_edges(n, ())
 
 
 class GraphStructure:
@@ -139,9 +137,7 @@ class CompositeStructure(GraphStructure):
         return None
 
 
-def composite(
-    m: int | str, n: int | str, *, truncate: int | None = None, cap: int | None = None
-):
+def composite(m: int | str, n: int | str, *, truncate: int | None = None):
     """Disjoint union of ``m`` cliques of size ``n`` (either may be ``OMEGA``).
 
     Finite ``m`` and ``n`` give a :class:`FiniteGraph` with contiguous blocks
@@ -156,7 +152,7 @@ def composite(
     if OMEGA in (m, n) and 0 in (m, n):  # no vertices at all, and block() would divide by 0
         raise GraphError(f"composite parameter 0 beside {OMEGA}")
     if m != OMEGA and n != OMEGA:
-        g = lex_product(independent(int(m)), complete(int(n), cap=cap), cap=cap)
+        g = lex_product(independent(int(m)), complete(int(n)))
         if truncate is not None and truncate < g.n:
             g = induced_subgraph(g, range(truncate))
         return g
@@ -289,14 +285,14 @@ class DominatedRadoStructure(GraphStructure):
         return None
 
 
-def rado_plus_dominating(n: int, *, cap: int | None = None) -> FiniteGraph:
+def rado_plus_dominating(n: int) -> FiniteGraph:
     """BIT truncation on ``n - 1`` vertices plus a dominating vertex ``n - 1``."""
     if n < 2:
         raise GraphError(f"radoplus requires n >= 2, got {n}")
     base = oracle_truncate(rado_bit(), n - 1)
     w = n - 1
     edges = list(base.edges()) + [(v, w) for v in range(w)]
-    return FiniteGraph.from_edges(n, edges, cap=max(n, VERTEX_CAP) if cap is None else cap)
+    return FiniteGraph.from_edges(n, edges, cap=max(n, VERTEX_CAP))
 
 
 def rado_plus_dominating_oracle() -> OracleGraph:
@@ -433,40 +429,45 @@ def h3_prime(size: int, seed: int = 0) -> tuple[FiniteGraph, tuple[int, int, int
 
 
 def generate(name: str, params: Iterable[object], *, truncate: int | None = None, seed: int = 0):
-    """Dispatch a generator by its command-line name."""
+    """Dispatch a generator by its command-line name; a parameter that is not
+    an integer (or ``w``/``omega`` for ``comp``) raises :class:`GraphError`."""
     params = list(params)
+
+    def integer(p) -> int:
+        try:
+            return int(p)
+        except (TypeError, ValueError):
+            raise GraphError(f"generator {name!r}: bad parameter {p!r}") from None
 
     def want(count: int) -> list:
         if len(params) != count:
             raise GraphError(f"generator {name!r} expects {count} parameter(s)")
-        return params
+        return [OMEGA if name == "comp" and p in (OMEGA, "w") else integer(p) for p in params]
 
     if name == "k":
         (n,) = want(1)
-        return complete(int(n))
+        return complete(n)
     if name == "i":
         (n,) = want(1)
-        return independent(int(n))
+        return independent(n)
     if name == "comp":
         m, n = want(2)
-        m = OMEGA if m in (OMEGA, "w") else int(m)
-        n = OMEGA if n in (OMEGA, "w") else int(n)
         return composite(m, n, truncate=truncate)
     if name == "rs":
         (n,) = want(1)
-        o = rs_graph(int(n))
+        o = rs_graph(n)
     elif name == "rado":
         want(0)
         o = rado_bit()
     elif name == "knfree":
         n, size = want(2)
-        return knfree_generic(int(n), int(size), seed)
+        return knfree_generic(n, size, seed)
     elif name == "h3prime":
         (size,) = want(1)
-        return h3_prime(int(size), seed)[0]
+        return h3_prime(size, seed)[0]
     elif name == "radoplus":
         (n,) = want(1)
-        return rado_plus_dominating(int(n))
+        return rado_plus_dominating(n)
     else:
         raise GraphError(f"unknown generator {name!r}")
     if truncate is not None:

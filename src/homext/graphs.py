@@ -50,9 +50,6 @@ class FiniteGraph:
             for v in _bits(r):
                 yield u, v
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
 
@@ -195,9 +192,9 @@ def connected_components(g: FiniteGraph) -> list[tuple[int, ...]]:
     return comps
 
 
-def _refined_labels(g: FiniteGraph, rounds: int = 2) -> list[tuple]:
+def _refined_labels(g: FiniteGraph) -> list[tuple]:
     labels: list[tuple] = [(g.degree(v),) for v in range(g.n)]
-    for _ in range(rounds):
+    for _ in range(2):
         labels = [
             (labels[v], tuple(sorted(labels[u] for u in g.neighbors(v))))
             for v in range(g.n)
@@ -215,9 +212,7 @@ def _encode_upper(g: FiniteGraph, pos: Sequence[int]) -> int:
     return enc
 
 
-def canonical_form(
-    g: FiniteGraph, *, cap: int = CANONICAL_CAP
-) -> tuple[FiniteGraph, tuple[int, ...]]:
+def canonical_form(g: FiniteGraph) -> tuple[FiniteGraph, tuple[int, ...]]:
     """Canonical labeling: isomorphic graphs yield identical canonical graphs.
 
     Vertices are first partitioned by an iterated degree/neighborhood
@@ -225,11 +220,11 @@ def canonical_form(
     all orderings consistent with the refined partition.  Returns the
     canonical graph and the permutation ``perm`` with ``perm[v]`` the canonical
     position of input vertex ``v``.  Backtracking over a cell of
-    indistinguishable vertices is factorial, so the size is capped (default
-    :data:`CANONICAL_CAP`).
+    indistinguishable vertices is factorial, so the size is capped at
+    :data:`CANONICAL_CAP`.
     """
-    if g.n > cap:
-        raise GraphError(f"canonical form for n={g.n} exceeds cap {cap}")
+    if g.n > CANONICAL_CAP:
+        raise GraphError(f"canonical form for n={g.n} exceeds cap {CANONICAL_CAP}")
     if g.n <= 1:
         return g, tuple(range(g.n))
     labels = _refined_labels(g)

@@ -256,27 +256,6 @@ def _subsets_lex(n: int, k: int) -> Iterator[tuple[int, ...]]:
                 )
 
 
-def kernel(f: PartialMap) -> tuple[tuple[int, ...], ...]:
-    """Partition of the domain into blocks of equal image value."""
-    blocks: dict[int, list[int]] = {}
-    for s, t in f.pairs:
-        blocks.setdefault(t, []).append(s)
-    return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
-
-
-def transversal(f: PartialMap) -> tuple[int, ...]:
-    """Least-index representative of each kernel block, in increasing order."""
-    return tuple(sorted(block[0] for block in kernel(f)))
-
-
-def neighborhood_indicator(g, v: int, fset: Iterable[int]) -> tuple[int, ...]:
-    """Adjacency indicator of ``v`` against the ordered finite set ``fset``."""
-    fs = tuple(fset)
-    if v in fs:
-        raise GraphError(f"vertex {v} lies in the indicator set")
-    return tuple(int(g.adj(v, x)) for x in fs)
-
-
 def all_subsets(vertices: Iterable[int], max_size: int) -> Iterator[tuple[int, ...]]:
     """Nonempty subsets of size up to ``max_size``, smaller sizes first."""
     vs = tuple(vertices)

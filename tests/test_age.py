@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -23,6 +24,7 @@ from homext.age import (
     sigma,
     sigma_by_embedding,
 )
+from homext.atlas import corpus_upto
 from homext.engine import Status, _past_truncation, total_endo_kinds
 from homext.formats import to_graph6
 from homext.generators import (
@@ -324,6 +326,42 @@ class TestConeFlags:
         assert any(line.startswith("violation") for line in lines)
 
 
+PIN_ORACLES = (rs_graph(3), rado_plus_dominating_oracle(), composite(OMEGA, 3), composite(OMEGA, OMEGA))
+
+
+def pinned_texts(cap):
+    """The age report and the HH/HE/ME status and report of every pinned input."""
+    sources = [(g, None) for _, g in corpus_upto(4)]
+    sources += [(random_graph(10, random.Random(seed)), None) for seed in (1, 2)]
+    sources += [(o, 9) for o in PIN_ORACLES]
+    for src, horizon in sources:
+        yield age_report(compute_age(src, 3, horizon=horizon, embedding_cap=cap))
+        for which in ("HH", "HE", "ME"):
+            rep = check_criterion(src, which, 3, horizon=horizon, embedding_cap=cap)
+            yield f"{rep.verdict.status.value}\n{rep.report()}"
+
+
+class TestReportPins:
+    @pytest.mark.parametrize("cap, digest", [
+        (EMBEDDING_CAP, "af240b786b0cd9715d28831ecb2fe1380590a657675c91fb1abbb52ee2b169fd"),
+        (2, "904fd799e5eea10a62e328db92f874c76e6d2f867b9bc019f1e73f63c3cd5199"),
+    ])
+    def test_reports_byte_for_byte(self, cap, digest):
+        texts = list(pinned_texts(cap))
+        # the pin covers how coned and co-coned violation lines interleave
+        assert any("violation: coned" in t and "violation: cocone-free" in t for t in texts)
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == digest
+
+
+def surjective_hom_exists(a, b):
+    """Reference for the surjective-homomorphism order: try every total map."""
+    onto = set(range(b.n))
+    return any(
+        set(values) == onto and all(b.adj(values[u], values[v]) for u, v in a.edges())
+        for values in itertools.product(range(b.n), repeat=a.n)
+    )
+
+
 def bijective_hom_exists(a, b):
     """Reference for the surjective-monomorphism order: try every bijection."""
     if a.n != b.n:
@@ -356,6 +394,17 @@ class TestOrders:
                 for c in entries:
                     if rel[(a, b)] and rel[(b, c)]:
                         assert rel[(a, c)]
+
+    def test_preceq_equals_total_map_search_on_corpus(self, corpus4):
+        graphs = [g for _, g in corpus4]
+        assert len(graphs) ** 2 == 324
+        for a in graphs:
+            for b in graphs:
+                assert order_preceq(a, b) == surjective_hom_exists(a, b)
+
+    @given(finite_graphs(max_n=5), finite_graphs(max_n=5))
+    def test_preceq_equals_total_map_search(self, a, b):
+        assert order_preceq(a, b) == surjective_hom_exists(a, b)
 
     def test_sq_equals_permutation_search_on_corpus(self, corpus5):
         graphs = [g for _, g in corpus5]

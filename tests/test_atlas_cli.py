@@ -181,6 +181,40 @@ class TestCli:
         bad.write_text("not a graph\n")
         assert main(["classify", str(bad)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "k", "abc"],
+        ["age", "--gen", "rs", "x", "--k", "2", "--horizon", "4"],
+    ])
+    def test_bad_generator_parameter_exit_code(self, argv, capsys):
+        assert main(argv) == 2
+        assert "bad parameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["classify", "verify-poset"])
+    def test_missing_file_exit_code(self, command, tmp_path, capsys):
+        assert main([command, str(tmp_path / "missing.txt")]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_undecodable_file_exit_code(self, tmp_path, capsys):
+        binary = tmp_path / "g.bin"
+        binary.write_bytes(b"\xff\xfe")
+        assert main(["classify", str(binary)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("equality A B finite n<=x", "bad corpus bound"),
+        ("separation MM MB bounded rs", "expects 1 parameter"),
+        ("inclusion ZZ MB finite n<=3", "bad class code"),
+        ("separation MM MB bounded rs 3 k=two", "bad bound k"),
+        ("separation MM MB bounded rs 3 q=3", "unknown bound"),
+        ("equality A Z finite n<=3", "bad Y code"),
+        ("separation MM ME finite comp 2", "expects 2 parameter"),
+    ])
+    def test_malformed_claim_exit_code(self, line, message, tmp_path, capsys):
+        claims = tmp_path / "claims.txt"
+        claims.write_text(line + "\n")
+        assert main(["verify-poset", str(claims)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_verify_poset_small(self, tmp_path, capsys):
         claims = tmp_path / "claims.txt"
         claims.write_text(

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from homext.generators import complete, independent, rs_graph
+from homext.generators import complete, independent
 from homext.graphs import FiniteGraph, GraphError
 from homext.morphisms import (
     EndoKind,
@@ -12,9 +12,6 @@ from homext.morphisms import (
     all_subsets,
     classify_map,
     enumerate_local_morphisms,
-    kernel,
-    neighborhood_indicator,
-    transversal,
 )
 
 from test_graphs import P3, finite_graphs
@@ -123,41 +120,6 @@ class TestEnumeration:
     def test_bad_bound(self):
         with pytest.raises(GraphError):
             list(enumerate_local_morphisms(K2, MorphismKind.HOMOMORPHISM, 0))
-
-
-class TestKernel:
-    def test_injective_all_singletons(self):
-        f = PartialMap(((0, 1), (1, 2)))
-        assert kernel(f) == ((0,), (1,))
-
-    def test_collapse_blocks(self):
-        f = PartialMap(((0, 7), (1, 7), (2, 9)))
-        assert kernel(f) == ((0, 1), (2,))
-        assert transversal(f) == (0, 2)
-
-    def test_partition_property(self):
-        f = PartialMap(((0, 5), (2, 5), (3, 6), (4, 5)))
-        blocks = kernel(f)
-        flat = sorted(v for b in blocks for v in b)
-        assert tuple(flat) == f.domain
-        assert len(transversal(f)) == len(blocks)
-
-
-class TestNeighborhoodIndicator:
-    def test_cone_all_ones(self):
-        g = complete(4)
-        assert neighborhood_indicator(g, 3, (0, 1, 2)) == (1, 1, 1)
-
-    def test_cocone_all_zeros(self):
-        g = independent(4)
-        assert neighborhood_indicator(g, 3, (0, 1, 2)) == (0, 0, 0)
-
-    def test_rs_mixed(self):
-        assert neighborhood_indicator(rs_graph(2), 2, (0, 1, 3)) == (0, 1, 1)
-
-    def test_rejects_member(self):
-        with pytest.raises(GraphError):
-            neighborhood_indicator(complete(3), 1, (0, 1))
 
 
 class TestEndoKind:
