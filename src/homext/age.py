@@ -224,11 +224,10 @@ def _related(a: AgeEntry, b: AgeEntry, order, *, upward: bool) -> bool:
 def order_preceq(a: FiniteGraph, b: FiniteGraph) -> bool:
     """Existence of a surjective homomorphism from ``a`` onto ``b``.
 
-    The search runs on the engine's kernel over the rows of the disjoint
-    union of ``a`` and ``b``, where ``b``'s vertex ``d`` is ``a.n + d``:
-    vertex ``pos`` of ``a`` takes its candidates from one
-    :func:`~homext.morphisms._step_mask`, and a branch is cut once the
-    vertices left cannot cover the part of ``b`` outside the image."""
+    Each vertex of ``a`` takes its candidates from one engine kernel call,
+    :func:`~homext.morphisms._step_mask`, over the rows of the disjoint union
+    (``b``'s vertex ``d`` is ``a.n + d``); a branch is cut once the vertices
+    left cannot cover the part of ``b`` outside the image."""
     if a.n < b.n:
         return False
     rows = a.rows + tuple(r << a.n for r in b.rows)
