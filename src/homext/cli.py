@@ -106,6 +106,14 @@ def _read_text(path: Path) -> str:
         raise GraphError(f"cannot read {path}: not UTF-8 text") from exc
 
 
+def _open_output(path: Path, mode: str):
+    """``path`` opened for writing; an unwritable path is an input error."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise GraphError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _read_graph(path: Path) -> FiniteGraph:
     text = sys.stdin.read() if str(path) == "-" else _read_text(path)
     stripped = text.strip()
@@ -132,7 +140,8 @@ def _cmd_generate(args) -> int:
         raise GraphError(f"{args.name} is an oracle family; pass --truncate N")
     text = emit_text(g) if args.format == "text" else to_graph6(g) + "\n"
     if args.output:
-        args.output.write_text(text)
+        with _open_output(args.output, "w") as out:
+            out.write(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -157,11 +166,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    resume = args.resume and args.output and args.output.exists()
-    skip = existing_ids(args.output.read_text().splitlines()) if resume else set()
+    resume = args.resume and args.output and args.output.is_file()
+    skip = existing_ids(_read_text(args.output).splitlines()) if resume else set()
     records = atlas_records(args.max_n, skip_ids=skip)
     if args.output:
-        with open(args.output, "a" if skip else "w") as out:
+        with _open_output(args.output, "a" if skip else "w") as out:
             written = write_atlas(records, out, header=not skip)
         print(f"wrote {written} records to {args.output}", file=sys.stderr)
     else:

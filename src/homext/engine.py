@@ -10,13 +10,13 @@ asks two memoized backtracking extenders (H and A) about them, and stops
 once the first failure of each of the six (X, H or A) pairs is known; the
 18 verdicts are read off those.  For oracle graphs a back-and-forth schedule
 reads the bitset rows of one truncation, so a malformed (asymmetric or
-reflexive) oracle raises GraphError; a sweep builds traces only for the
-certified witnesses it keeps.  Past the truncation the schedule asks
-the generator's declared structure for complete candidate lists only (the
-list half of the helper shared with the age layer), and the predicate only
-about the listed vertices.  A negative verdict is definite only when the
-stuck step's candidates are confined to such a list and every one fails,
-otherwise it is UnknownAtBound.
+reflexive) oracle raises GraphError; a sweep runs each (map, step index)
+state once, and builds traces only for the certified witnesses it keeps.
+Past the truncation the schedule asks the generator's declared structure
+for complete candidate lists only (the list half of the helper shared with
+the age layer), and the predicate only about the listed vertices.  A
+negative verdict is definite only when the stuck step's candidates are
+confined to such a list and every one fails, otherwise it is UnknownAtBound.
 """
 
 from __future__ import annotations
@@ -583,26 +583,41 @@ def back_and_forth(
     kind = y.required_kind if x is None else max(x, y.required_kind)
     if f_kind < kind:
         raise GraphError(f"map is below the kind required for Y={y.value}")
-    return _trace(f, y, kind, f_kind, _schedule(o, t.rows, f, y, kind, depth, horizon))
+    return _trace(f, y, kind, f_kind, _schedule(o, t.rows, f, y, kind, depth, horizon, {}))
 
 
-def _schedule(o: OracleGraph, rows, f: PartialMap, y: EndoKind, kind, depth, horizon):
+def _schedule(o: OracleGraph, rows, f: PartialMap, y: EndoKind, kind, depth, horizon, memo):
     """The schedule of :func:`back_and_forth` at step kind ``kind``, on rows covering
     the horizon and ``f``: ``(added pairs in step order, outcome, stuck vertex,
-    stuck side, confinement from :func:`_listed_past_truncation` or None)``."""
+    stuck side, confinement from :func:`_listed_past_truncation` or None)``.
+
+    The rest depends only on the map and the step index, so the sweep's ``memo``
+    maps each ``(state, step)`` reached to ``(run, offset)``: the remainder is
+    ``run`` less its first ``offset`` pairs.  ``state`` packs the map into one
+    integer, ``u``'s image plus 1 in bit field ``u``."""
     cert_kind = y.required_kind
     surj = y.needs_surjective
     horizon_mask = (1 << horizon) - 1
-    domain = image = 0
+    width = len(rows).bit_length()
+    domain = image = state = 0
     for u, fu in f.pairs:
         domain |= 1 << u
         image |= 1 << fu
-    pairs, start = list(f.pairs), len(f.pairs)
+        state |= fu + 1 << u * width
+    pairs, start, seen = list(f.pairs), len(f.pairs), []
+    rest, end = [], ("depth-reached", None, None, None)
     for step in range(depth):
+        key = state, step
+        if key in memo:
+            run, offset = memo[key]
+            rest, end = run[0][offset:], run[1:]
+            break
+        seen.append(key)
         side = "preimage" if surj and step % 2 == 0 else "extension"
         free = horizon_mask & ~(image if side == "preimage" else domain)
         if not free:
-            return pairs[start:], "horizon-exhausted", None, None, None
+            end = "horizon-exhausted", None, None, None
+            break
         target = (free & -free).bit_length() - 1
         mask = _step_mask(rows, pairs, target, side, kind, horizon_mask)
         if not mask:
@@ -613,13 +628,17 @@ def _schedule(o: OracleGraph, rows, f: PartialMap, y: EndoKind, kind, depth, hor
                 _, confined = _listed_past_truncation(
                     o, *_step_sets(rows, pairs, target, side, cert_kind), side == "preimage"
                 )
-            return pairs[start:], "stuck", target, side, confined
+            end = "stuck", target, side, confined
+            break
         v = (mask & -mask).bit_length() - 1
         pair = (v, target) if side == "preimage" else (target, v)
         domain |= 1 << pair[0]
         image |= 1 << pair[1]
+        state |= pair[1] + 1 << pair[0] * width
         pairs.append(pair)
-    return pairs[start:], "depth-reached", None, None, None
+    run = (pairs[start:] + rest, *end)
+    memo.update((key, (run, offset)) for offset, key in enumerate(seen))
+    return run
 
 
 def _trace(f: PartialMap, y: EndoKind, kind, f_kind, run) -> ExtensionTrace:
@@ -671,8 +690,10 @@ def decide_xy_bounded(
     contribute to the UnknownAtBound accounting.  One truncation, to
     ``max(horizon, window)``, serves every schedule and, as its prefix, the
     window (see :func:`back_and_forth`); later sweeps on ``o`` read it from
-    the oracle's memo.  A window or horizon below 1 or a negative depth raises
-    :class:`GraphError`.
+    the oracle's memo.  The schedules share one memo, dropped on return, keyed
+    by the map packed into one integer and the step index (see
+    :func:`_schedule`).  A window or horizon below 1 or a negative depth
+    raises :class:`GraphError`.
     """
     _check_bounds(horizon=horizon, depth=depth, window=window)
     window = min(horizon, DEFAULT_WINDOW) if window is None else window
@@ -680,8 +701,9 @@ def decide_xy_bounded(
     definite: list[tuple[PartialMap, ExtensionTrace]] = []
     stuck_uncertified = 0
     maps = list(enumerate_local_morphisms(oracle_truncate(o, window), x, k))
-    maps.sort(key=lambda f: (len(f.pairs), f.domain, f.values))
+    maps.sort(key=len)  # stable: each size stays in (domain, values) order
     step_kind = max(x, y.required_kind)
+    memo: dict = {}
     for f in maps:
         kind = classify_map(t, f)
         if kind < y.required_kind:
@@ -700,7 +722,7 @@ def decide_xy_bounded(
             )
             definite.append((f, trace))
             continue
-        run = _schedule(o, t.rows, f, y, step_kind, depth, horizon)
+        run = _schedule(o, t.rows, f, y, step_kind, depth, horizon, memo)
         if run[4]:  # a confinement certifies the stuck step
             definite.append((f, _trace(f, y, step_kind, kind, run)))
         elif run[1] == "stuck":

@@ -200,6 +200,16 @@ class TestCli:
         assert main(["classify", str(binary)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, where", [
+        (["generate", "k", "3", "-o"], "missing/x.txt"),
+        (["atlas", "--max-n", "1", "--resume", "-o"], ""),
+        (["atlas", "--max-n", "1", "-o"], "missing/a.jsonl"),
+    ], ids=["generate-into-missing-dir", "atlas-resume-into-dir", "atlas-into-missing-dir"])
+    def test_unwritable_output_exit_code(self, argv, where, tmp_path, capsys):
+        # a missing parent directory, or an output path that is a directory
+        assert main(argv + [str(tmp_path / where)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line, message", [
         ("equality A B finite n<=x", "bad corpus bound"),
         ("separation MM MB bounded rs", "expects 1 parameter"),

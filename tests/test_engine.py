@@ -38,6 +38,7 @@ from homext.morphisms import (
     _step_mask,
     _step_sets,
     classify_map,
+    enumerate_local_morphisms,
 )
 
 from test_graphs import C5, P3, finite_graphs
@@ -548,6 +549,18 @@ class TestBackAndForth:
             back_and_forth(rs_graph(3), PartialMap(((0, 0),)), EndoKind.H, **{bound: value})
 
 
+SWEEP_ORACLES = {
+    **{f"rs{n}": rs_graph(n) for n in (2, 3, 4)},
+    "rado": rado_bit(),
+    "radoplus": rado_plus_dominating_oracle(),
+    "comp_w_2": composite(OMEGA, 2),
+    "comp_w_3": composite(OMEGA, 3),
+    "comp_2_w": composite(2, OMEGA),
+    "comp_3_w": composite(3, OMEGA),
+    "comp_w_w": composite(OMEGA, OMEGA),
+}
+
+
 class _ListsOnly:
     """A declared structure whose witness rules must not be asked."""
 
@@ -675,6 +688,62 @@ class TestDecideBounded:
                     else:
                         assert trace == back_and_forth(o, f, y, depth=8, horizon=16, x=x)
         assert (digest.hexdigest(), kept) == self.PINNED[name]
+
+    # the same digest at the benchmark's oracle-sweep bounds, where schedules
+    # meet most often; recorded before the sweep memo
+    SWEEP_BOUNDS = dict(k=2, window=4, horizon=32, depth=12)
+    SWEEP_PINNED = {
+        "rs3": ("4fdbb189ae03fb069904c44c855c641dfafcebcc0ba0536752872f1a0b21e756", 427),
+        "rado": ("fef691f2667e416e9068ef1c895ef849f2aba3385adafc10c04b863452fbb45a", 96),
+        "radoplus": ("5784e6ddfa135e5ba1caa3b3f6f1808b6f67f47e14bf932eb67795fb6c5d39f8", 488),
+        "comp_w_2": ("f8956d2653682ea306015bc71b757d2cb40ae2e3cc0d864d2fe35be045045a8c", 208),
+        "comp_2_w": ("aa3466829c035c1647bed7b51449a0d2381f8506bbe9f017b629d24bfb6ad1fe", 221),
+        "comp_w_w": ("3edfadc12dd48c613091c2c4d1d21d3b705e165d3621fa072d30e24b6a2cb033", 120),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_PINNED))
+    def test_sweeps_at_benchmark_bounds_are_pinned(self, name):
+        o, digest, kept = SWEEP_ORACLES[name], hashlib.sha256(), 0
+        for x in X_KINDS:
+            for y in Y_KINDS:
+                v = decide_xy_bounded(o, x, y, **self.SWEEP_BOUNDS)
+                digest.update(f"{v.report_line(x, y)}\n{v.details!r}\n".encode())
+                kept += len(v.details)
+        assert (digest.hexdigest(), kept) == self.SWEEP_PINNED[name]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(SWEEP_ORACLES)),
+        x=st.sampled_from(X_KINDS),
+        y=st.sampled_from(Y_KINDS),
+        k=st.integers(1, 3),
+        window=st.integers(1, 6),
+        horizon=st.integers(1, 40),
+        depth=st.integers(0, 15),
+    )
+    def test_sweep_memo_changes_no_schedule(self, name, x, y, k, window, horizon, depth):
+        # every start of the sweep, run again by the memo-free back_and_forth
+        o = SWEEP_ORACLES[name]
+        v = decide_xy_bounded(o, x, y, k=k, window=window, horizon=horizon, depth=depth)
+        starts = sorted(
+            enumerate_local_morphisms(oracle_truncate(o, window), x, k),
+            key=lambda f: (len(f), f.domain, f.values),
+        )
+        certified, uncertified = [], 0
+        for f in starts:
+            try:
+                trace = back_and_forth(o, f, y, depth=depth, horizon=horizon, x=x)
+            except GraphError:  # a kind obstruction runs no schedule
+                certified.append((f, "kind obstruction"))
+                continue
+            if trace.certificate:
+                certified.append((f, trace))
+            elif trace.outcome == "stuck":
+                uncertified += 1
+        assert (v.bounds["maps"], v.bounds["stuck_uncertified"]) == (len(starts), uncertified)
+        assert [
+            (f, tr.header if tr.header == "kind obstruction" else tr) for f, tr in v.details
+        ] == certified
 
     def test_iso_to_embedding_failure_certified(self):
         # the modular family is not self-embedding homogeneous: an isomorphism
