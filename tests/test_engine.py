@@ -319,8 +319,6 @@ def naive_decide(g, x, y):
         for t in itertools.product(range(g.n), repeat=g.n)
         if y in total_endo_kinds(g, t)
     ]
-    from homext.morphisms import enumerate_local_morphisms
-
     for f in sorted(
         enumerate_local_morphisms(g, x, g.n),
         key=lambda f: (len(f.pairs), f.domain, f.values),
