@@ -116,24 +116,26 @@ def write_atlas(records: Iterable[AtlasRecord], out: TextIO, *, header: bool = T
 
 
 def read_atlas(lines: Iterable[str]) -> list[AtlasRecord]:
+    """The records after the schema header; a line that does not parse raises GraphError."""
     records = []
     header_seen = False
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
-        if not header_seen:
-            header = json.loads(line)
-            if header.get("schema") != ATLAS_SCHEMA:
-                raise GraphError(f"unknown atlas schema {header.get('schema')!r}")
-            header_seen = True
-            continue
-        records.append(AtlasRecord.from_json(line))
+        try:
+            if header_seen:
+                records.append(AtlasRecord.from_json(line))
+                continue
+            schema = json.loads(line).get("schema")
+        except (ValueError, KeyError, TypeError, AttributeError):
+            raise GraphError(f"atlas line {number} is not a record") from None
+        if schema != ATLAS_SCHEMA:
+            raise GraphError(f"unknown atlas schema {schema!r}")
+        header_seen = True
     return records
 
 
 def existing_ids(lines: Iterable[str]) -> set[str]:
-    try:
-        return {rec.graph_id for rec in read_atlas(lines)}
-    except (GraphError, json.JSONDecodeError, KeyError):
-        return set()
+    """The ids of the records in ``lines``; a line that does not parse raises GraphError."""
+    return {rec.graph_id for rec in read_atlas(lines)}

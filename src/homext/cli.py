@@ -72,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True, metavar="K")
     p.add_argument("-o", "--output", type=Path, default=None)
     p.add_argument("--resume", action="store_true",
-                   help="skip ids already present in the output file")
+                   help="skip ids already present in the output file, "
+                        "dropping a last line torn by an interrupted run")
 
     p = sub.add_parser("verify-poset", help="check a claims file (or the built-in one)")
     p.add_argument("claims", nargs="?", type=Path, default=None)
@@ -166,12 +167,18 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    resume = args.resume and args.output and args.output.is_file()
-    skip = existing_ids(_read_text(args.output).splitlines()) if resume else set()
+    kept = ""  # the text a resumed run keeps and appends to
+    if args.resume and args.output and args.output.is_file():
+        text = _read_text(args.output)
+        kept = text[:text.rfind("\n") + 1]  # an interrupted run may leave a torn last line
+        if not kept.strip():
+            kept = ""
+    skip = existing_ids(kept.splitlines())
     records = atlas_records(args.max_n, skip_ids=skip)
     if args.output:
-        with _open_output(args.output, "a" if skip else "w") as out:
-            written = write_atlas(records, out, header=not skip)
+        with _open_output(args.output, "a") as out:
+            out.truncate(len(kept.encode()))
+            written = write_atlas(records, out, header=not kept)
         print(f"wrote {written} records to {args.output}", file=sys.stderr)
     else:
         write_atlas(records, sys.stdout)

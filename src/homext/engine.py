@@ -8,15 +8,18 @@ an automorphism: I = M = E = B = A as extension targets.  One streamed pass
 per graph visits the local homomorphisms in (size, domain, values) order,
 asks two memoized backtracking extenders (H and A) about them, and stops
 once the first failure of each of the six (X, H or A) pairs is known; the
-18 verdicts are read off those.  For oracle graphs a back-and-forth schedule
-reads the bitset rows of one truncation, so a malformed (asymmetric or
-reflexive) oracle raises GraphError; a sweep runs each (map, step index)
-state once, and builds traces only for the certified witnesses it keeps.
-Past the truncation the schedule asks the generator's declared structure
-for complete candidate lists only (the list half of the helper shared with
-the age layer), and the predicate only about the listed vertices.  A
-negative verdict is definite only when the stuck step's candidates are
-confined to such a list and every one fails, otherwise it is UnknownAtBound.
+18 verdicts are read off those.  The extenders check forward: each
+unassigned vertex carries its candidate mask, every assignment narrows
+them, and a branch that empties one is refuted before it is entered.  For
+oracle graphs a back-and-forth schedule reads the bitset rows of one
+truncation, so a malformed (asymmetric or reflexive) oracle raises
+GraphError; a sweep runs each (map, step index) state once, and builds
+traces only for the certified witnesses it keeps.  Past the truncation the
+schedule asks the generator's declared structure for complete candidate
+lists only (the list half of the helper shared with the age layer), and the
+predicate only about the listed vertices.  A negative verdict is definite
+only when the stuck step's candidates are confined to such a list and every
+one fails, otherwise it is UnknownAtBound.
 """
 
 from __future__ import annotations
@@ -284,37 +287,82 @@ class _YExtender:
     endomorphism is bijective, and a bijective homomorphism maps the finitely
     many edges onto the edges, so it is an automorphism (I = M = E = B = A as
     extension targets).  The recursion always assigns the least unassigned
-    vertex, its candidates one :func:`_step_mask` at ``y.required_kind``, so
-    memo entries are shared between queries whose domains overlap on
-    prefixes.  Keys are the sorted pairs of the map; a map's extendability is
-    a property of the map alone, so the cache is sound across queries.
-    Queried maps must already have kind ``y.required_kind``.
+    vertex, so memo entries are shared between queries whose domains overlap
+    on prefixes.  Keys are the sorted pairs of the map; a map's
+    extendability is a property of the map alone, so the cache is sound
+    across queries.  Queried maps must already have kind ``y.required_kind``.
+
+    Forward checking: every unassigned vertex carries its candidate mask, one
+    :func:`_step_mask` at ``y.required_kind`` when a query starts, and each
+    assignment ``v -> d`` narrows the masks by the one-pair rule of
+    :func:`_step_mask` (H: the neighbours of ``v``, ``& rows[d]``; A: also
+    the non-neighbours, ``& ~(rows[d] | 1 << d)``).  A branch that leaves
+    some vertex without a candidate is refuted before it is entered, and a
+    branch with one unassigned vertex left extends by any of its candidates.
+    The masks are those of :func:`_step_mask` on the branch's map, so the
+    memo keeps meaning the map alone.
     """
 
     def __init__(self, g: FiniteGraph, y: EndoKind):
+        assert y in (EndoKind.H, EndoKind.A)
         self.rows = g.rows
         self.full = (1 << g.n) - 1
         self.kind = y.required_kind
+        self.h = y is EndoKind.H
         self.memo: dict[tuple[tuple[int, int], ...], bool] = {}
 
     def extends(self, dom_mask: int, pairs: tuple[tuple[int, int], ...]) -> bool:
         hit = self.memo.get(pairs)
-        if hit is not None:
-            return hit
+        if hit is None:
+            rows, kind, full = self.rows, self.kind, self.full
+            cands = [0] * len(rows)
+            free = full & ~dom_mask
+            while free:
+                low = free & -free
+                free ^= low
+                v = low.bit_length() - 1
+                cands[v] = mask = _step_mask(rows, pairs, v, "extension", kind, full)
+                if not mask:
+                    self.memo[pairs] = False
+                    return False
+            hit = self._search(dom_mask, pairs, cands)
+        return hit
+
+    def _search(self, dom_mask: int, pairs: tuple[tuple[int, int], ...], cands: list[int]) -> bool:
+        # pairs is not in the memo, and every unassigned vertex has a candidate
+        rows, memo = self.rows, self.memo
         free = self.full & ~dom_mask
-        result = not free
-        if free:
+        result = not free & (free - 1)  # a lone free vertex takes any of its candidates
+        if not result:
             v = (free & -free).bit_length() - 1  # least unassigned vertex
+            rest = free ^ 1 << v
+            adjacent = rows[v]
+            narrow = adjacent & rest if self.h else rest
             at = (dom_mask & ((1 << v) - 1)).bit_count()
             head, tail = pairs[:at], pairs[at:]
-            mask = _step_mask(self.rows, pairs, v, "extension", self.kind, self.full)
+            mask = cands[v]
             while mask and not result:
                 low = mask & -mask
                 mask ^= low
-                result = self.extends(
-                    dom_mask | 1 << v, head + ((v, low.bit_length() - 1),) + tail
-                )
-        self.memo[pairs] = result
+                d = low.bit_length() - 1
+                child = head + ((v, d),) + tail
+                result = memo.get(child)
+                if result is None:
+                    row = rows[d]
+                    non = ~(row | low)
+                    nxt = cands[:] if narrow else cands  # a list passed down is never changed
+                    todo = narrow
+                    while todo:
+                        bit = todo & -todo
+                        todo ^= bit
+                        x = bit.bit_length() - 1
+                        nxt[x] = m = nxt[x] & (row if adjacent & bit else non)
+                        if not m:
+                            result = False  # a vertex without candidates: refuted
+                            break
+                    else:
+                        result = self._search(dom_mask | 1 << v, child, nxt)
+        memo[pairs] = result
         return result
 
 

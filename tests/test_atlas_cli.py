@@ -140,6 +140,42 @@ class TestCli:
         assert part.read_bytes() == full.read_bytes()
         assert "wrote 13 records" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["in the header", "mid-record", "before a newline",
+                                       "after a newline"])
+    def test_atlas_resume_after_an_interrupted_run(self, where, tmp_path, capsys):
+        full, part = tmp_path / "full.jsonl", tmp_path / "part.jsonl"
+        assert main(["atlas", "--max-n", "4", "-o", str(full)]) == 0
+        data = full.read_bytes()
+        end = data.index(b"\n", 2000) + 1  # the end of the record around byte 2000
+        cut = {"in the header": 5, "mid-record": 2000, "before a newline": end - 1,
+               "after a newline": end}[where]
+        part.write_bytes(data[:cut])
+        kept = max(data[:cut].count(b"\n") - 1, 0)  # records complete before the cut
+        capsys.readouterr()
+        assert main(["atlas", "--max-n", "4", "-o", str(part), "--resume"]) == 0
+        assert part.read_bytes() == data
+        assert f"wrote {18 - kept} records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, message", [
+        ("not json", "atlas line 3 is not a record"),
+        ('{"id": "n2g000"}', "atlas line 3 is not a record"),
+        ("[1, 2]", "atlas line 3 is not a record"),
+        ('{"schema": "other"}', "unknown atlas schema"),
+    ])
+    def test_atlas_resume_refuses_a_line_that_does_not_parse(self, bad, message, tmp_path, capsys):
+        out = tmp_path / "a.jsonl"
+        assert main(["atlas", "--max-n", "3", "-o", str(out)]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        if "schema" in bad:
+            lines[0] = bad + "\n"
+        else:
+            lines[2] = bad + "\n"
+        out.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["atlas", "--max-n", "3", "-o", str(out), "--resume"]) == 2
+        assert message in capsys.readouterr().err
+        assert out.read_text() == "".join(lines)
+
     def test_age_command(self, capsys):
         assert main(["age", "--gen", "k", "4", "--k", "2"]) == 0
         out = capsys.readouterr().out

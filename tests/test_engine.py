@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from homext.age import PROPERTY_NAMES, check_criterion, check_property, compute_age
 from homext.engine import (
     Status,
+    _YExtender,
     _component_confinement_note,
     back_and_forth,
     classify_finite,
@@ -458,6 +459,54 @@ class TestExtendFiniteAgainstTotalMaps:
                                 if total is not None:
                                     assert all(total[s] == t for s, t in pairs)
                                     assert y in _total_kinds(g, total), (g, pairs, y)
+
+
+class TestExtenderAgainstTotalMaps:
+    """Every answer of the H and A extenders against the restrictions of every
+    total map: each local map of the extender's kind, of every domain size,
+    asked of one extender in (size, domain, values) order and of another in
+    the reverse order, so that the memo is met along different paths."""
+
+    @staticmethod
+    def check(g):
+        n = g.n
+        extends = _extends_table(g)
+        maps = []
+        for size in range(1, n + 1):
+            for dom in itertools.combinations(range(n), size):
+                for vals in itertools.product(range(n), repeat=size):
+                    pairs = tuple(zip(dom, vals))
+                    hom, injective, reflecting = _map_properties(g, pairs)
+                    if hom:
+                        maps.append((sum(1 << u for u in dom), pairs, injective and reflecting))
+        for y in (EndoKind.H, EndoKind.A):
+            queries = [(d, p) for d, p, iso in maps if iso or y is EndoKind.H]
+            for order in (queries, queries[::-1]):
+                extender = _YExtender(g, y)
+                for dom_mask, pairs in order:
+                    want = y in extends.get(pairs, ())
+                    assert extender.extends(dom_mask, pairs) == want, (g, pairs, y)
+
+    def test_every_labelled_graph_up_to_four_vertices(self):
+        for n in range(1, 5):
+            for bits in range(1 << n * (n - 1) // 2):
+                self.check(_labelled(n, bits))
+
+    @settings(max_examples=30)
+    @given(st.integers(min_value=0, max_value=(1 << 10) - 1))
+    def test_labelled_graphs_on_five_vertices(self, bits):
+        self.check(_labelled(5, bits))
+
+    def test_forward_checking_refutes_where_a_vertex_runs_out(self):
+        # 0 -> 1 leaves the neighbours 2 and 6 of 0 only the candidate 6, the
+        # one neighbour of 1, so the edge 2 ~ 6 has no image; assigning 2 -> 6
+        # empties 6.  Without forward checking the extender filled 316 memo
+        # entries before refuting the map.
+        g = FiniteGraph.from_edges(
+            7, [(0, 2), (0, 3), (0, 6), (1, 6), (2, 5), (2, 6), (3, 6), (4, 6)])
+        extender = _YExtender(g, EndoKind.H)
+        assert not extender.extends(1, ((0, 1),))
+        assert len(extender.memo) <= 8
 
 
 class TestStuckAndNote:
