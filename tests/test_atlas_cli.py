@@ -156,20 +156,19 @@ class TestCli:
         assert part.read_bytes() == data
         assert f"wrote {18 - kept} records" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad, message", [
-        ("not json", "atlas line 3 is not a record"),
-        ('{"id": "n2g000"}', "atlas line 3 is not a record"),
-        ("[1, 2]", "atlas line 3 is not a record"),
-        ('{"schema": "other"}', "unknown atlas schema"),
+    @pytest.mark.parametrize("at, bad, message", [
+        (2, "not json", "atlas line 3 is not a record"),
+        (2, '{"id": "n2g000"}', "atlas line 3 is not a record"),
+        (2, "[1, 2]", "atlas line 3 is not a record"),
+        (0, '{"schema": "other"}', "unknown atlas schema"),
     ])
-    def test_atlas_resume_refuses_a_line_that_does_not_parse(self, bad, message, tmp_path, capsys):
+    def test_atlas_resume_refuses_a_line_that_does_not_parse(
+        self, at, bad, message, tmp_path, capsys
+    ):
         out = tmp_path / "a.jsonl"
         assert main(["atlas", "--max-n", "3", "-o", str(out)]) == 0
         lines = out.read_text().splitlines(keepends=True)
-        if "schema" in bad:
-            lines[0] = bad + "\n"
-        else:
-            lines[2] = bad + "\n"
+        lines[at] = bad + "\n"
         out.write_text("".join(lines))
         capsys.readouterr()
         assert main(["atlas", "--max-n", "3", "-o", str(out), "--resume"]) == 2
