@@ -41,7 +41,7 @@ from .graphs import (
     max_independent_set_size,
     oracle_truncate,
 )
-from .engine import _RANK, Status, Verdict, _check_bounds, _past_truncation
+from .engine import DEFAULT_WINDOW, _RANK, Status, Verdict, _check_bounds, _past_truncation
 from .morphisms import MorphismKind, PartialMap, _step_mask, _step_sets
 from .morphisms import enumerate_local_morphisms
 
@@ -418,9 +418,10 @@ def check_property(
     :func:`~homext.morphisms._step_mask`, the kernel the engine uses.
 
     Finite graphs get definite verdicts for the bounded quantifiers.  For
-    oracles, subsets and map domains range over ``window`` and searches over
-    ``horizon``; failures are definite only under a confinement certificate,
-    and a clean sweep reports UnknownAtBound with the all-witnessed count.
+    oracles, subsets and map domains range over ``window`` (default
+    :data:`~homext.engine.DEFAULT_WINDOW`) and searches over ``horizon``;
+    failures are definite only under a confinement certificate, and a clean
+    sweep reports UnknownAtBound with the all-witnessed count.
     An oracle's window or horizon below 1 raises :class:`GraphError`.
     """
     if which not in PROPERTY_NAMES:
@@ -431,7 +432,7 @@ def check_property(
         _check_bounds(window=window)  # the horizon is checked with the source
     g, oracle = _as_source(source, horizon)
     finite = oracle is None
-    domain_bound = g.n if finite else min(8 if window is None else window, g.n)
+    domain_bound = g.n if finite else min(DEFAULT_WINDOW if window is None else window, g.n)
     certificate = None if finite else "confined candidate list exhausted"
     cases = 0
     unwitnessed = 0
@@ -529,13 +530,12 @@ def sigma(g: FiniteGraph) -> int:
     return best
 
 
-def sigma_by_embedding(g: FiniteGraph, *, limit: int | None = None) -> int:
+def sigma_by_embedding(g: FiniteGraph) -> int:
     """Independent re-derivation of ``sigma`` by explicit induced-star search."""
     best = 0
-    top = g.n - 1 if limit is None else limit
     for v in range(g.n):
         nb = g.neighbors(v)
-        for t in range(min(len(nb), top), best, -1):
+        for t in range(len(nb), best, -1):
             found = False
             for leaves in itertools.combinations(nb, t):
                 if all(

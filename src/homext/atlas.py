@@ -1,14 +1,15 @@
 """Exhaustive small-graph corpus and the JSONL atlas of membership vectors.
 
-The corpus enumerates one representative per isomorphism class by canonical
-filtering of all labeled graphs, feasible through seven vertices.  Atlas
+The corpus holds one canonical representative per isomorphism class through
+seven vertices.  The classes on ``n`` vertices are the canonical forms of the
+classes on ``n - 1`` vertices, each joined through a new vertex to each
+subset (vertex augmentation; McKay, J. Algorithms 26, 1998).  Atlas
 records are emitted one JSON object per line after a schema header; output
 is byte-reproducible, so reruns can both be diffed and resumed.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, TextIO
@@ -29,11 +30,11 @@ def graphs_of_size(n: int) -> list[FiniteGraph]:
     if n > ENUMERATION_CAP:
         raise GraphError(f"exhaustive enumeration beyond {ENUMERATION_CAP} vertices")
     if n not in _CLASSES:
-        pairs = list(itertools.combinations(range(n), 2))
         seen: dict[FiniteGraph, None] = {}
-        for mask in range(1 << len(pairs)):
-            edges = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
-            seen.setdefault(canonical_form(FiniteGraph.from_edges(n, edges))[0], None)
+        for g in graphs_of_size(n - 1) if n > 1 else [FiniteGraph(0, ())]:
+            for joined in range(1 << (n - 1)):  # the neighbours of the new vertex n - 1
+                rows = tuple(r | (joined >> v & 1) << (n - 1) for v, r in enumerate(g.rows))
+                seen.setdefault(canonical_form(FiniteGraph(n, (*rows, joined)))[0], None)
         _CLASSES[n] = tuple(sorted(seen, key=to_graph6))
     return list(_CLASSES[n])
 

@@ -4,14 +4,15 @@ A graph is XY-homogeneous when every local morphism of kind X extends to a
 total endomorphism of kind Y.  For finite graphs the decision is exact.  On
 a finite graph an injective or surjective endomorphism is bijective, and a
 bijective homomorphism maps the finitely many edges onto the edges, so it is
-an automorphism: I = M = E = B = A as extension targets.  One streamed pass
-per graph visits the local homomorphisms in (size, domain, values) order,
-asks two memoized backtracking extenders (H and A) about them, and stops
-once the first failure of each of the six (X, H or A) pairs is known; the
-18 verdicts are read off those.  The extenders check forward: each
+an automorphism: I = M = E = B = A as extension targets.  One loop per
+graph over the stream of local maps (with their kinds, in (size, domain,
+values) order) asks two memoized backtracking extenders (H and A) about
+them, and stops once the first failure of each of the six (X, H or A) pairs
+is known; the 18 verdicts are read off those.  The extenders check forward: each
 unassigned vertex carries its candidate mask, every assignment narrows
 them, and a branch that empties one is refuted before it is entered.  For
-oracle graphs a back-and-forth schedule reads the bitset rows of one
+oracle graphs a sweep starts a back-and-forth schedule from each map of the
+same stream on the window's rows.  A schedule reads the bitset rows of one
 truncation, so a malformed (asymmetric or reflexive) oracle raises
 GraphError; a sweep runs each (map, step index) state once, and builds
 traces only for the certified witnesses it keeps.  Past the truncation the
@@ -24,7 +25,6 @@ one fails, otherwise it is UnknownAtBound.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -40,10 +40,10 @@ from .morphisms import (
     X_KINDS,
     X_NAMES,
     Y_KINDS,
+    _local_maps,
     _step_mask,
     _step_sets,
     classify_map,
-    enumerate_local_morphisms,
 )
 
 DECIDE_CAP = 7
@@ -393,70 +393,32 @@ _XY_KEYS = tuple((x, y) for x in X_KINDS for y in Y_KINDS)
 _HOLDS = Verdict(Status.HOLDS)
 
 
-def _first_failures(g: FiniteGraph) -> dict[tuple[MorphismKind, EndoKind], PartialMap]:
-    """The first non-extendable local morphism of kind at least ``x``, per ``x``
-    and ``y`` in H and A; a missing pair holds.
+def _first_failures(g: FiniteGraph) -> dict[tuple, tuple[PartialMap, MorphismKind]]:
+    """The first non-extendable local morphism of kind at least ``x``, with its
+    kind, per ``x`` and ``y`` in H and A; a missing pair holds.
 
-    One streamed pass over the local homomorphisms in (size, domain, values)
-    order, each position's candidates one :func:`_step_mask`.  A map stays
-    injective while each new value's bit is outside the image, and an
-    isomorphism while it also avoids the rows of the images of the
-    non-neighbours.  A non-isomorphism fails A without a query.  Once the
-    pairs of every ``x`` below some kind are settled, only maps of at least
-    that kind are visited, and the pass stops when all six pairs are settled.
+    One loop over the :func:`~homext.morphisms._local_maps` stream, whose
+    floor is the weakest ``x`` not yet settled for some ``y``; the loop stops
+    once all six pairs are settled.  A map below ``y``'s required kind (a
+    non-isomorphism for A) fails without a query.
     """
-    n, rows = g.n, g.rows
-    full = (1 << n) - 1
-    iso = MorphismKind.ISOMORPHISM
     extenders = {y: _YExtender(g, y) for y in _FINITE_Y}
-    floor = dict.fromkeys(_FINITE_Y, MorphismKind.HOMOMORPHISM)  # weakest unsettled x
-    failures: dict[tuple[MorphismKind, EndoKind], PartialMap] = {}
-    lowest = MorphismKind.HOMOMORPHISM
-
-    def visit(pairs, dom_mask: int, kind: MorphismKind) -> None:
+    lowest = dict.fromkeys(_FINITE_Y, MorphismKind.HOMOMORPHISM)  # weakest unsettled x
+    floor, failures = [MorphismKind.HOMOMORPHISM], {}
+    for pairs, dom_mask, kind in _local_maps(g.rows, g.n, floor):
         for y in _FINITE_Y:
-            lo = floor[y]
+            lo = lowest[y]
             if kind < lo:
                 continue
-            if (y is EndoKind.A and kind < iso) or not extenders[y].extends(dom_mask, pairs):
-                witness = PartialMap(pairs)
+            if kind < y.required_kind or not extenders[y].extends(dom_mask, pairs):
+                witness = PartialMap(pairs), kind
                 for x in X_KINDS:
                     if lo <= x <= kind:
                         failures[(x, y)] = witness
-                floor[y] = kind + 1
-
-    def rec(dom, pairs, dom_mask: int, image: int, kind: MorphismKind) -> bool:
-        # True once all six pairs are settled
-        nonlocal lowest
-        pos = len(pairs)
-        if pos == len(dom):
-            visit(pairs, dom_mask, kind)
-            lowest = min(floor.values())
-            return lowest > iso
-        u = dom[pos]
-        blocked = 0  # values that break isomorphism: rows of non-neighbours' images
-        if kind == iso:
-            for q, fq in pairs:
-                if not rows[q] >> u & 1:
-                    blocked |= rows[fq]
-        mask = _step_mask(rows, pairs, u, "extension", MorphismKind(lowest), full)
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            new_kind = MorphismKind.HOMOMORPHISM if image & low else kind
-            if new_kind == iso and blocked & low:
-                new_kind = MorphismKind.MONOMORPHISM
-            if new_kind >= lowest and rec(
-                dom, pairs + ((u, low.bit_length() - 1),), dom_mask | 1 << u,
-                image | low, new_kind,
-            ):
-                return True
-        return False
-
-    for size in range(1, n + 1):
-        for dom in itertools.combinations(range(n), size):
-            if rec(dom, (), 0, 0, iso):
-                return failures
+                lowest[y] = kind + 1
+                floor[0] = min(lowest.values())
+                if floor[0] > MorphismKind.ISOMORPHISM:
+                    return failures
     return failures
 
 
@@ -470,13 +432,13 @@ def _classified(g: FiniteGraph) -> MembershipVector:
     stucks, notes, shared = {}, {}, {}  # keyed as above; shared maps a verdict to itself
     verdicts = []
     for x, y in _XY_KEYS:
-        w = failures.get((x, EndoKind.H if y is EndoKind.H else EndoKind.A))
+        w, w_kind = failures.get((x, EndoKind.H if y is EndoKind.H else EndoKind.A), (None, None))
         if w is None:
             verdicts.append(_HOLDS)
             continue
         kind, surj, dom = y.required_kind, y.needs_surjective, w.domain
         if (w, kind) not in stucks:  # the least vertex outside the domain without a candidate
-            outside = [c for c in range(g.n) if c not in dom] if classify_map(g, w) >= kind else []
+            outside = [c for c in range(g.n) if c not in dom] if w_kind >= kind else []
             stucks[w, kind] = next((
                 c for c in outside if not _step_mask(g.rows, w.pairs, c, "extension", kind, full)
             ), None)
@@ -542,9 +504,10 @@ class ExtensionTrace:
     certificate: str | None = None
 
 
-def _check_bounds(*, horizon=None, depth=None, window=None) -> None:
+def _check_bounds(*, horizon=None, depth=None, window=None, k=None) -> None:
     # a bound below its least value would sweep nothing and report a vacuous unknown
-    for name, value, least in (("horizon", horizon, 1), ("depth", depth, 0), ("window", window, 1)):
+    for name, value, least in (("horizon", horizon, 1), ("depth", depth, 0), ("window", window, 1),
+                               ("max domain size", k, 1)):
         if value is not None and value < least:
             raise GraphError(f"{name} must be at least {least}, got {value}")
 
@@ -631,13 +594,13 @@ def back_and_forth(
     kind = y.required_kind if x is None else max(x, y.required_kind)
     if f_kind < kind:
         raise GraphError(f"map is below the kind required for Y={y.value}")
-    return _trace(f, y, kind, f_kind, _schedule(o, t.rows, f, y, kind, depth, horizon, {}))
+    return _trace(f, y, kind, f_kind, _schedule(o, t.rows, f.pairs, y, kind, depth, horizon, {}))
 
 
-def _schedule(o: OracleGraph, rows, f: PartialMap, y: EndoKind, kind, depth, horizon, memo):
-    """The schedule of :func:`back_and_forth` at step kind ``kind``, on rows covering
-    the horizon and ``f``: ``(added pairs in step order, outcome, stuck vertex,
-    stuck side, confinement from :func:`_listed_past_truncation` or None)``.
+def _schedule(o: OracleGraph, rows, f, y: EndoKind, kind, depth, horizon, memo):
+    """The schedule of :func:`back_and_forth` from the pairs ``f`` at step kind ``kind``, on
+    rows covering the horizon and ``f``: ``(added pairs in step order, outcome, stuck
+    vertex, stuck side, confinement from :func:`_listed_past_truncation` or None)``.
 
     The rest depends only on the map and the step index, so the sweep's ``memo``
     maps each ``(state, step)`` reached to ``(run, offset)``: the remainder is
@@ -648,11 +611,11 @@ def _schedule(o: OracleGraph, rows, f: PartialMap, y: EndoKind, kind, depth, hor
     horizon_mask = (1 << horizon) - 1
     width = len(rows).bit_length()
     domain = image = state = 0
-    for u, fu in f.pairs:
+    for u, fu in f:
         domain |= 1 << u
         image |= 1 << fu
         state |= fu + 1 << u * width
-    pairs, start, seen = list(f.pairs), len(f.pairs), []
+    pairs, start, seen = list(f), len(f), []
     rest, end = [], ("depth-reached", None, None, None)
     for step in range(depth):
         key = state, step
@@ -728,9 +691,11 @@ def decide_xy_bounded(
 ) -> Verdict:
     """Bounded sweep: back-and-forth from every kind-``x`` map inside the window.
 
-    Never returns Holds for an oracle graph.  The sweep is complete over its
-    bounds: every starting map is driven to depth and every certified stuck
-    prefix is collected.  A certified stuck prefix extends its starting map
+    Never returns Holds for an oracle graph.  The starting maps, with their
+    kinds, come from the :func:`~homext.morphisms._local_maps` stream on the
+    window's rows at floor ``x``.  The sweep is complete over its bounds:
+    every starting map is driven to depth and every certified stuck prefix
+    is collected.  A certified stuck prefix extends its starting map
     by kind-preserving steps, so it is itself a kind-``x`` morphism with no
     kind-``y`` extension anywhere in the graph: the verdict's witnesses are
     those prefix maps, and ``details`` pairs each with its starting map and
@@ -740,23 +705,22 @@ def decide_xy_bounded(
     window (see :func:`back_and_forth`); later sweeps on ``o`` read it from
     the oracle's memo.  The schedules share one memo, dropped on return, keyed
     by the map packed into one integer and the step index (see
-    :func:`_schedule`).  A window or horizon below 1 or a negative depth
-    raises :class:`GraphError`.
+    :func:`_schedule`).  A window, horizon or ``k`` below 1 or a negative
+    depth raises :class:`GraphError`.
     """
-    _check_bounds(horizon=horizon, depth=depth, window=window)
+    _check_bounds(horizon=horizon, depth=depth, window=window, k=k)
     window = min(horizon, DEFAULT_WINDOW) if window is None else window
     t = oracle_truncate(o, max(horizon, window))
     definite: list[tuple[PartialMap, ExtensionTrace]] = []
-    stuck_uncertified = 0
-    maps = list(enumerate_local_morphisms(oracle_truncate(o, window), x, k))
-    maps.sort(key=len)  # stable: each size stays in (domain, values) order
+    maps = stuck_uncertified = 0
     step_kind = max(x, y.required_kind)
     memo: dict = {}
-    for f in maps:
-        kind = classify_map(t, f)
+    for pairs, _, kind in _local_maps(oracle_truncate(o, window).rows, k, [x]):
+        maps += 1
         if kind < y.required_kind:
             # a restriction of a kind-y endomorphism always has kind
             # required(y); a strictly weaker map fails horizon-independently
+            f = PartialMap(pairs)
             trace = ExtensionTrace(
                 initial=f,
                 y=y,
@@ -770,8 +734,9 @@ def decide_xy_bounded(
             )
             definite.append((f, trace))
             continue
-        run = _schedule(o, t.rows, f, y, step_kind, depth, horizon, memo)
+        run = _schedule(o, t.rows, pairs, y, step_kind, depth, horizon, memo)
         if run[4]:  # a confinement certifies the stuck step
+            f = PartialMap(pairs)
             definite.append((f, _trace(f, y, step_kind, kind, run)))
         elif run[1] == "stuck":
             stuck_uncertified += 1
@@ -780,7 +745,7 @@ def decide_xy_bounded(
         "horizon": horizon,
         "depth": depth,
         "window": window,
-        "maps": len(maps),
+        "maps": maps,
         "stuck_uncertified": stuck_uncertified,
     }
     if definite:

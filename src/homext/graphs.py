@@ -150,16 +150,15 @@ def complement(g: FiniteGraph) -> FiniteGraph:
     )
 
 
-def lex_product(g: FiniteGraph, h: FiniteGraph, *, cap: int | None = None) -> FiniteGraph:
+def lex_product(g: FiniteGraph, h: FiniteGraph) -> FiniteGraph:
     """Lexicographic product: blocks of ``h``, fully joined along edges of ``g``.
 
     Vertex ``(a, b)`` is encoded as ``a * h.n + b``; ``(a, b)`` and ``(a', b')``
     are adjacent when ``a ~ a'`` in ``g``, or ``a = a'`` and ``b ~ b'`` in ``h``.
     """
-    cap = VERTEX_CAP if cap is None else cap
     n = g.n * h.n
-    if n > cap:
-        raise GraphError(f"product on {n} vertices exceeds cap {cap}")
+    if n > VERTEX_CAP:
+        raise GraphError(f"product on {n} vertices exceeds cap {VERTEX_CAP}")
     rows = [0] * n
     block_full = (1 << h.n) - 1
     for a in range(g.n):

@@ -5,14 +5,15 @@ single ambient graph.  Maps are stored as sorted source/target pair lists so
 that sparse domains over unbounded oracle vertices work the same way as dense
 domains on finite graphs.  Every map is surjective onto its image by
 construction, which is the only shape the extension machinery ever needs to
-consider.
+consider.  The engine reads its local maps from one stream,
+:func:`_local_maps`, which yields each with its kind, kept as the map grows.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 from .graphs import FiniteGraph, GraphError
@@ -226,7 +227,8 @@ def enumerate_local_morphisms(
     n = g.n
     rows = g.rows
     full = (1 << n) - 1
-    for dom in _subsets_lex(n, min(k, n)):
+    subsets = chain.from_iterable(combinations(range(n), s) for s in range(1, min(k, n) + 1))
+    for dom in sorted(subsets):
         size = len(dom)
 
         def rec(pairs: tuple[tuple[int, int], ...]) -> Iterator[PartialMap]:
@@ -243,21 +245,45 @@ def enumerate_local_morphisms(
         yield from rec(())
 
 
-def _subsets_lex(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    # nonempty subsets of range(n), size <= k, in lexicographic tuple order
-    for first in range(n):
-        stack = [(first,)]
-        while stack:
-            cur = stack.pop()
-            yield cur
-            if len(cur) < k:
-                stack.extend(
-                    cur + (nxt,) for nxt in range(n - 1, cur[-1], -1)
-                )
+def _local_maps(rows, k: int, floor: list[int]):
+    """``(pairs, domain mask, kind)`` of the maps on ``rows`` of kind at least ``floor[0]``
+    (reread at every position: the consumer may raise it between maps), domain size
+    ``1..k``, in (size, domain, values) order.  A map stays injective while each new
+    value's bit is outside the image, and an isomorphism while it also avoids the rows
+    of the images of the non-neighbours."""
+    n, iso = len(rows), MorphismKind.ISOMORPHISM
+    full = (1 << n) - 1
+
+    def rec(dom, pairs, dom_mask: int, image: int, kind: MorphismKind):
+        # extends the prefix ``pairs`` of ``dom`` at its next vertex ``u``
+        u = dom[len(pairs)]
+        last = len(pairs) + 1 == len(dom)
+        blocked = 0  # values that break isomorphism: rows of non-neighbours' images
+        if kind is iso:
+            for q, fq in pairs:
+                if not rows[q] >> u & 1:
+                    blocked |= rows[fq]
+        mask = _step_mask(rows, pairs, u, "extension", MorphismKind(floor[0]), full)
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            new_kind = MorphismKind.HOMOMORPHISM if image & low else kind
+            if new_kind is iso and blocked & low:
+                new_kind = MorphismKind.MONOMORPHISM
+            if new_kind >= floor[0]:
+                grown = pairs + ((u, low.bit_length() - 1),)
+                if last:
+                    yield grown, dom_mask | 1 << u, new_kind
+                else:
+                    yield from rec(dom, grown, dom_mask | 1 << u, image | low, new_kind)
+
+    for size in range(1, min(k, n) + 1):
+        for dom in combinations(range(n), size):
+            yield from rec(dom, (), 0, 0, iso)
 
 
 def all_subsets(vertices: Iterable[int], max_size: int) -> Iterator[tuple[int, ...]]:
     """Nonempty subsets of size up to ``max_size``, smaller sizes first."""
     vs = tuple(vertices)
     for size in range(1, max_size + 1):
-        yield from itertools.combinations(vs, size)
+        yield from combinations(vs, size)

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 
 import pytest
@@ -14,9 +15,9 @@ from homext.atlas import (
     write_atlas,
 )
 from homext.cli import main
-from homext.formats import from_graph6, parse_text
+from homext.formats import from_graph6, parse_text, to_graph6
 from homext.generators import complete, independent
-from homext.graphs import GraphError
+from homext.graphs import FiniteGraph, GraphError, canonical_form
 
 
 class TestEnumeration:
@@ -34,6 +35,16 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(GraphError):
             graphs_of_size(8)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_augmentation_equals_the_exhaustive_filter(self, n):
+        # the reference canonicalises every labelled graph on n vertices
+        pairs = list(itertools.combinations(range(n), 2))
+        seen = {}
+        for mask in range(1 << len(pairs)):
+            edges = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
+            seen.setdefault(canonical_form(FiniteGraph.from_edges(n, edges))[0], None)
+        assert graphs_of_size(n) == sorted(seen, key=to_graph6)
 
     def test_repeated_calls_give_equal_independent_lists(self):
         first = graphs_of_size(4)

@@ -115,7 +115,7 @@ class TestLexProduct:
 
     @given(finite_graphs(max_n=4), finite_graphs(max_n=3))
     def test_blocks_and_diagonals(self, g, h):
-        prod = lex_product(g, h, cap=64)
+        prod = lex_product(g, h)
         if h.n:
             for a in range(g.n):
                 block = tuple(range(a * h.n, (a + 1) * h.n))

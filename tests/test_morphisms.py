@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from homext.generators import complete, independent
 from homext.graphs import FiniteGraph, GraphError
@@ -9,6 +9,7 @@ from homext.morphisms import (
     EndoKind,
     MorphismKind,
     PartialMap,
+    _local_maps,
     all_subsets,
     classify_map,
     enumerate_local_morphisms,
@@ -18,6 +19,7 @@ from test_graphs import P3, finite_graphs
 
 K2 = complete(2)
 I2 = independent(2)
+HOM, MONO, ISO = MorphismKind.HOMOMORPHISM, MorphismKind.MONOMORPHISM, MorphismKind.ISOMORPHISM
 
 
 def naive_local_morphisms(g, k):
@@ -120,6 +122,75 @@ class TestEnumeration:
     def test_bad_bound(self):
         with pytest.raises(GraphError):
             list(enumerate_local_morphisms(K2, MorphismKind.HOMOMORPHISM, 0))
+
+
+def labelled_graphs(max_n):
+    """Every labelled graph on at most ``max_n`` vertices."""
+    for n in range(max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            yield FiniteGraph.from_edges(n, [p for b, p in enumerate(pairs) if bits >> b & 1])
+
+
+def sorted_and_classified(g, x, k):
+    """The stream's reference: the lex enumeration re-sorted by size, each map
+    paired with its kind from :func:`classify_map`."""
+    maps = sorted(enumerate_local_morphisms(g, x, k), key=lambda f: (len(f), f.domain, f.values))
+    return [(f.pairs, classify_map(g, f)) for f in maps]
+
+
+def streamed(g, k, floor, raise_after=None, raised=None):
+    """``(pairs, kind)`` of the stream, its floor raised to ``raised`` after the
+    map at index ``raise_after``; the domain masks are checked on the way."""
+    out, floors = [], [floor]
+    for i, (pairs, dom_mask, kind) in enumerate(_local_maps(g.rows, k, floors)):
+        assert dom_mask == sum(1 << u for u, _ in pairs)
+        out.append((pairs, kind))
+        if i == raise_after:
+            floors[0] = raised
+    return out
+
+
+class TestLocalMapStream:
+    """``_local_maps`` against the lex enumeration and ``classify_map``."""
+
+    @staticmethod
+    def check_constant_floor(g, max_k):
+        for x in (ISO, MONO, HOM):
+            for k in range(1, max_k + 1):
+                assert streamed(g, k, x) == sorted_and_classified(g, x, k)
+
+    @staticmethod
+    def check_raised_floor(g, k, floor, raised, whole, raise_after):
+        # whole: the stream at the constant floor
+        want = whole[:raise_after + 1] + [e for e in whole[raise_after + 1:] if e[1] >= raised]
+        assert streamed(g, k, floor, raise_after, raised) == want
+
+    def test_constant_floor_on_every_small_labelled_graph(self):
+        for g in labelled_graphs(4):
+            self.check_constant_floor(g, g.n)
+
+    @settings(max_examples=30)
+    @given(finite_graphs(max_n=7))
+    def test_constant_floor_on_larger_graphs(self, g):
+        # k <= 3: at k = 7 the edgeless graph alone has 8^7 - 1 local homomorphisms
+        self.check_constant_floor(g, min(g.n, 3))
+
+    def test_raised_floor_on_every_small_labelled_graph(self):
+        for g in labelled_graphs(4):
+            for floor, raised in ((HOM, MONO), (HOM, ISO), (MONO, ISO)):
+                whole = streamed(g, g.n, floor)
+                for raise_after in range(0, len(whole), 1 + len(whole) // 10):
+                    self.check_raised_floor(g, g.n, floor, raised, whole, raise_after)
+
+    @settings(max_examples=30)
+    @given(finite_graphs(max_n=7), st.data())
+    def test_raised_floor_on_larger_graphs(self, g, data):
+        k = min(g.n, 3)
+        floor, raised = data.draw(st.sampled_from(((HOM, MONO), (HOM, ISO), (MONO, ISO))))
+        whole = streamed(g, k, floor)
+        raise_after = data.draw(st.integers(min_value=0, max_value=max(len(whole) - 1, 0)))
+        self.check_raised_floor(g, k, floor, raised, whole, raise_after)
 
 
 class TestEndoKind:
