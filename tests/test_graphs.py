@@ -33,6 +33,13 @@ def finite_graphs(draw, max_n=8):
     return FiniteGraph.from_edges(n, edges)
 
 
+def labelled_graphs(n):
+    """Every labelled graph on ``n`` vertices."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for bits in range(1 << len(pairs)):
+        yield FiniteGraph.from_edges(n, [p for b, p in enumerate(pairs) if bits >> b & 1])
+
+
 class TestConstruction:
     def test_from_edges_validates(self):
         with pytest.raises(GraphError):

@@ -15,7 +15,7 @@ from homext.morphisms import (
     enumerate_local_morphisms,
 )
 
-from test_graphs import P3, finite_graphs
+from test_graphs import P3, finite_graphs, labelled_graphs
 
 K2 = complete(2)
 I2 = independent(2)
@@ -124,14 +124,6 @@ class TestEnumeration:
             list(enumerate_local_morphisms(K2, MorphismKind.HOMOMORPHISM, 0))
 
 
-def labelled_graphs(max_n):
-    """Every labelled graph on at most ``max_n`` vertices."""
-    for n in range(max_n + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        for bits in range(1 << len(pairs)):
-            yield FiniteGraph.from_edges(n, [p for b, p in enumerate(pairs) if bits >> b & 1])
-
-
 def sorted_and_classified(g, x, k):
     """The stream's reference: the lex enumeration re-sorted by size, each map
     paired with its kind from :func:`classify_map`."""
@@ -166,9 +158,10 @@ class TestLocalMapStream:
         want = whole[:raise_after + 1] + [e for e in whole[raise_after + 1:] if e[1] >= raised]
         assert streamed(g, k, floor, raise_after, raised) == want
 
-    def test_constant_floor_on_every_small_labelled_graph(self):
-        for g in labelled_graphs(4):
-            self.check_constant_floor(g, g.n)
+    @pytest.mark.parametrize("n", range(5))
+    def test_constant_floor_on_every_small_labelled_graph(self, n):
+        for g in labelled_graphs(n):
+            self.check_constant_floor(g, n)
 
     @settings(max_examples=30)
     @given(finite_graphs(max_n=7))
@@ -176,12 +169,13 @@ class TestLocalMapStream:
         # k <= 3: at k = 7 the edgeless graph alone has 8^7 - 1 local homomorphisms
         self.check_constant_floor(g, min(g.n, 3))
 
-    def test_raised_floor_on_every_small_labelled_graph(self):
-        for g in labelled_graphs(4):
+    @pytest.mark.parametrize("n", range(5))
+    def test_raised_floor_on_every_small_labelled_graph(self, n):
+        for g in labelled_graphs(n):
             for floor, raised in ((HOM, MONO), (HOM, ISO), (MONO, ISO)):
-                whole = streamed(g, g.n, floor)
+                whole = streamed(g, n, floor)
                 for raise_after in range(0, len(whole), 1 + len(whole) // 10):
-                    self.check_raised_floor(g, g.n, floor, raised, whole, raise_after)
+                    self.check_raised_floor(g, n, floor, raised, whole, raise_after)
 
     @settings(max_examples=30)
     @given(finite_graphs(max_n=7), st.data())
