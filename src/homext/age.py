@@ -13,9 +13,10 @@ independence/star statistics with their inequality.
 Every search inside a truncation runs on its bitset rows.  The copies of
 each size are walked depth first, holding only the path: a copy's pattern
 key extends its prefix's by the new vertex's row bits on the members, and
-its cone and co-cone masks are its prefix's with one row AND each.  The
-orders' searches and every star or dagger step take their candidates from
-the engine's kernel :func:`~homext.morphisms._step_mask`.  Each call
+its cone and co-cone masks are its prefix's with one row AND each.  Star
+and dagger read their maps from the engine's stream
+:func:`~homext.morphisms._local_maps`; their steps and the orders' searches
+take candidates from its kernel :func:`~homext.morphisms._step_mask`.  Each call
 canonicalises one copy per labelled pattern it meets and keeps nothing
 afterwards.  Only an oracle step left without a candidate in the truncation
 looks past it, through the engine's one helper
@@ -35,6 +36,7 @@ from .graphs import (
     FiniteGraph,
     GraphError,
     OracleGraph,
+    _bits,
     canonical_form,
     complement,
     induced_subgraph,
@@ -42,8 +44,7 @@ from .graphs import (
     oracle_truncate,
 )
 from .engine import DEFAULT_WINDOW, _RANK, Status, Verdict, _check_bounds, _past_truncation
-from .morphisms import MorphismKind, PartialMap, _step_mask, _step_sets
-from .morphisms import enumerate_local_morphisms
+from .morphisms import MorphismKind, PartialMap, _local_maps, _step_mask, _step_sets, all_subsets
 
 EMBEDDING_CAP = 500
 PROPERTY_NAMES = ("delta", "therefore", "star", "dagger")
@@ -413,9 +414,9 @@ def check_property(
     ``star``: every surjective local monomorphism with domain size up to
     ``k`` extends one domain vertex at a time (image-side vertex outside the
     current image); ``dagger``: every surjective local homomorphism accepts
-    a preimage for every vertex outside its image.  The candidates of each
-    star or dagger step inside the truncation are one
-    :func:`~homext.morphisms._step_mask`, the kernel the engine uses.
+    a preimage for every vertex outside its image.  Their maps and each
+    step's candidates inside the truncation come from the engine's stream
+    :func:`~homext.morphisms._local_maps` and its kernel ``_step_mask``.
 
     Finite graphs get definite verdicts for the bounded quantifiers.  For
     oracles, subsets and map domains range over ``window`` (default
@@ -471,18 +472,20 @@ def check_property(
             else (MorphismKind.HOMOMORPHISM, "preimage")
         )
         search_mask = (1 << g.n) - 1  # an oracle's truncation ends at the horizon
-        window_graph = induced_subgraph(g, range(domain_bound))
-        for f in enumerate_local_morphisms(window_graph, want, min(k, domain_bound)):
+        window_rows = [r & (1 << domain_bound) - 1 for r in g.rows[:domain_bound]]
+        domains = sorted(all_subsets(range(domain_bound), min(k, domain_bound)))
+        for pairs, dom_mask, _ in _local_maps(window_rows, domains, [want]):
+            image = sum({1 << t for _, t in pairs})  # values may repeat
             # star extends a new domain vertex, dagger finds a new preimage
-            fixed, avoid = (f.domain, f.image) if star else (f.image, f.domain)
+            fixed, avoid = (dom_mask, image) if star else (image, dom_mask)
             for t in range(domain_bound):
-                if t in fixed:
+                if fixed >> t & 1:
                     continue
                 cases += 1
-                if _step_mask(g.rows, f.pairs, t, side, want, search_mask):
+                if _step_mask(g.rows, pairs, t, side, want, search_mask):
                     continue
                 live, confined = (False, True) if finite else _past_truncation(
-                    oracle, *_step_sets(g.rows, f.pairs, t, side, want)
+                    oracle, *_step_sets(g.rows, pairs, t, side, want)
                 )
                 if live:
                     continue
@@ -491,10 +494,10 @@ def check_property(
                         which,
                         Verdict(
                             Status.FAILS,
-                            witness=f,
+                            witness=PartialMap(pairs),
                             stuck=t,
                             stuck_side=side,
-                            note=f"no {'image' if star else 'preimage'} for {t} outside {sorted(avoid)}",
+                            note=f"no {'image' if star else 'preimage'} for {t} outside {list(_bits(avoid))}",
                             certificate=certificate,
                         ),
                         cases,

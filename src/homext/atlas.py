@@ -99,10 +99,13 @@ def record_for(graph_id: str, g: FiniteGraph) -> AtlasRecord:
 
 
 def atlas_records(n_max: int, *, skip_ids: Container[str] = ()) -> Iterator[AtlasRecord]:
-    """Records of the corpus up to ``n_max``; ids in ``skip_ids`` are never classified."""
-    for graph_id, g in corpus_upto(n_max):
-        if graph_id not in skip_ids:
-            yield record_for(graph_id, g)
+    """Records of the corpus up to ``n_max``; ids in ``skip_ids`` are never classified.
+    An ``n_max`` outside ``1..ENUMERATION_CAP`` raises :class:`GraphError` at the
+    call, before a record is asked for."""
+    if not 1 <= n_max <= ENUMERATION_CAP:
+        raise GraphError(f"atlas size must be in 1..{ENUMERATION_CAP}, got {n_max}")
+    corpus = corpus_upto(n_max)
+    return (record_for(graph_id, g) for graph_id, g in corpus if graph_id not in skip_ids)
 
 
 def write_atlas(records: Iterable[AtlasRecord], out: TextIO, *, header: bool = True) -> int:

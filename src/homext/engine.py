@@ -43,6 +43,7 @@ from .morphisms import (
     _local_maps,
     _step_mask,
     _step_sets,
+    all_subsets,
     classify_map,
 )
 
@@ -70,8 +71,12 @@ class Verdict:
     certificate: str | None = None
     note: str | None = None
     bounds: dict | None = None
-    witnesses: tuple[PartialMap, ...] = ()
     details: tuple = ()
+
+    @property
+    def witnesses(self) -> tuple[PartialMap, ...]:
+        """The witness of each ``(starting map, trace)`` of ``details``."""
+        return tuple(trace.final for _, trace in self.details)
 
     @property
     def holds(self) -> bool:
@@ -201,11 +206,8 @@ def extend_finite(g: FiniteGraph, f: PartialMap, y: EndoKind) -> tuple[int, ...]
     """
     n = g.n
     rows = g.rows
-    for s, t in f.pairs:
-        if not (0 <= s < n and 0 <= t < n):
-            raise GraphError(f"map pair ({s}, {t}) out of range for n={n}")
     kind = MorphismKind.ISOMORPHISM if y.needs_surjective else y.required_kind
-    if classify_map(g, f) < kind:
+    if classify_map(g, f) < kind:  # raises on a pair out of range
         return None
 
     assign: list[int] = [-1] * n
@@ -405,7 +407,7 @@ def _first_failures(g: FiniteGraph) -> dict[tuple, tuple[PartialMap, MorphismKin
     extenders = {y: _YExtender(g, y) for y in _FINITE_Y}
     lowest = dict.fromkeys(_FINITE_Y, MorphismKind.HOMOMORPHISM)  # weakest unsettled x
     floor, failures = [MorphismKind.HOMOMORPHISM], {}
-    for pairs, dom_mask, kind in _local_maps(g.rows, g.n, floor):
+    for pairs, dom_mask, kind in _local_maps(g.rows, all_subsets(range(g.n), g.n), floor):
         for y in _FINITE_Y:
             lo = lowest[y]
             if kind < lo:
@@ -460,9 +462,7 @@ def decide_xy_finite(g: FiniteGraph, x: MorphismKind, y: EndoKind) -> Verdict:
     Size is capped at :data:`DECIDE_CAP`: a sweep that does not stop early
     enumerates every local morphism.
     """
-    if g.n > DECIDE_CAP:
-        raise GraphError(f"exact decision for n={g.n} exceeds cap {DECIDE_CAP}")
-    return _classified(g).entries[(x, y)]
+    return classify_finite(g).entries[(x, y)]
 
 
 def classify_finite(g: FiniteGraph) -> MembershipVector:
@@ -715,7 +715,8 @@ def decide_xy_bounded(
     maps = stuck_uncertified = 0
     step_kind = max(x, y.required_kind)
     memo: dict = {}
-    for pairs, _, kind in _local_maps(oracle_truncate(o, window).rows, k, [x]):
+    domains = all_subsets(range(window), min(k, window))
+    for pairs, _, kind in _local_maps(oracle_truncate(o, window).rows, domains, [x]):
         maps += 1
         if kind < y.required_kind:
             # a restriction of a kind-y endomorphism always has kind
@@ -757,7 +758,6 @@ def decide_xy_bounded(
             stuck_side=trace.stuck_side,
             certificate=trace.certificate,
             bounds=bounds,
-            witnesses=tuple(tr.final for _, tr in definite),
-            details=tuple((f, tr) for f, tr in definite),
+            details=tuple(definite),
         )
     return Verdict(Status.UNKNOWN, bounds=bounds)

@@ -137,14 +137,29 @@ class CompositeStructure(GraphStructure):
         return None
 
 
+def _truncated(g, size: int | None):
+    """``g`` cut to its vertices ``0..size-1``: the induced prefix of a finite graph
+    (all of it when it has at most ``size``), :func:`oracle_truncate` for an
+    oracle; ``g`` itself when ``size`` is ``None``.  A negative size raises
+    :class:`GraphError`."""
+    if size is None:
+        return g
+    if size < 0:
+        raise GraphError(f"negative truncation size {size}")
+    if isinstance(g, OracleGraph):
+        return oracle_truncate(g, size)
+    return induced_subgraph(g, range(min(size, g.n)))
+
+
 def composite(m: int | str, n: int | str, *, truncate: int | None = None):
     """Disjoint union of ``m`` cliques of size ``n`` (either may be ``OMEGA``).
 
     Finite ``m`` and ``n`` give a :class:`FiniteGraph` with contiguous blocks
     (empty when either is 0); 0 beside ``OMEGA`` raises :class:`GraphError`.
-    Otherwise an :class:`OracleGraph` is returned (or its truncation when
-    ``truncate`` is given): blocks are ``i // n`` for finite ``n``, ``i % m``
-    for finite ``m``, and Cantor-diagonal fibers when both are omega.
+    Otherwise an :class:`OracleGraph` is returned: blocks are ``i // n`` for
+    finite ``n``, ``i % m`` for finite ``m``, and Cantor-diagonal fibers when
+    both are omega.  Either is cut to ``truncate`` vertices when that is given
+    (see :func:`_truncated`).
     """
     for tok in (m, n):
         if tok != OMEGA and (not isinstance(tok, int) or tok < 0):
@@ -152,10 +167,7 @@ def composite(m: int | str, n: int | str, *, truncate: int | None = None):
     if OMEGA in (m, n) and 0 in (m, n):  # no vertices at all, and block() would divide by 0
         raise GraphError(f"composite parameter 0 beside {OMEGA}")
     if m != OMEGA and n != OMEGA:
-        g = lex_product(independent(int(m)), complete(int(n)))
-        if truncate is not None and truncate < g.n:
-            g = induced_subgraph(g, range(truncate))
-        return g
+        return _truncated(lex_product(independent(int(m)), complete(int(n))), truncate)
     structure = CompositeStructure(m, n)
 
     def adjacency(i: int, j: int) -> bool:
@@ -167,9 +179,7 @@ def composite(m: int | str, n: int | str, *, truncate: int | None = None):
         metadata={"family": "composite", "m": m, "n": n},
         structure=structure,
     )
-    if truncate is not None:
-        return oracle_truncate(o, truncate)
-    return o
+    return _truncated(o, truncate)
 
 
 @dataclass(frozen=True)
@@ -429,8 +439,9 @@ def h3_prime(size: int, seed: int = 0) -> tuple[FiniteGraph, tuple[int, int, int
 
 
 def generate(name: str, params: Iterable[object], *, truncate: int | None = None, seed: int = 0):
-    """Dispatch a generator by its command-line name; a parameter that is not
-    an integer (or ``w``/``omega`` for ``comp``) raises :class:`GraphError`."""
+    """Dispatch a generator by its command-line name, cut to ``truncate`` vertices
+    when that is given (see :func:`_truncated`); a parameter that is not an
+    integer (or ``w``/``omega`` for ``comp``) raises :class:`GraphError`."""
     params = list(params)
 
     def integer(p) -> int:
@@ -446,30 +457,27 @@ def generate(name: str, params: Iterable[object], *, truncate: int | None = None
 
     if name == "k":
         (n,) = want(1)
-        return complete(n)
-    if name == "i":
+        g = complete(n)
+    elif name == "i":
         (n,) = want(1)
-        return independent(n)
-    if name == "comp":
-        m, n = want(2)
-        return composite(m, n, truncate=truncate)
-    if name == "rs":
+        g = independent(n)
+    elif name == "comp":
+        g = composite(*want(2))
+    elif name == "rs":
         (n,) = want(1)
-        o = rs_graph(n)
+        g = rs_graph(n)
     elif name == "rado":
         want(0)
-        o = rado_bit()
+        g = rado_bit()
     elif name == "knfree":
         n, size = want(2)
-        return knfree_generic(n, size, seed)
+        g = knfree_generic(n, size, seed)
     elif name == "h3prime":
         (size,) = want(1)
-        return h3_prime(size, seed)[0]
+        g = h3_prime(size, seed)[0]
     elif name == "radoplus":
         (n,) = want(1)
-        return rado_plus_dominating(n)
+        g = rado_plus_dominating(n)
     else:
         raise GraphError(f"unknown generator {name!r}")
-    if truncate is not None:
-        return oracle_truncate(o, truncate)
-    return o
+    return _truncated(g, truncate)

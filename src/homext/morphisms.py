@@ -5,15 +5,17 @@ single ambient graph.  Maps are stored as sorted source/target pair lists so
 that sparse domains over unbounded oracle vertices work the same way as dense
 domains on finite graphs.  Every map is surjective onto its image by
 construction, which is the only shape the extension machinery ever needs to
-consider.  The engine reads its local maps from one stream,
-:func:`_local_maps`, which yields each with its kind, kept as the map grows.
+consider.  Every walk over local maps reads one stream, :func:`_local_maps`,
+which yields each with its kind, kept as the map grows, over domains its
+caller lists: the exact pass and the sweeps list them smaller sizes first,
+:func:`enumerate_local_morphisms` and the star and dagger checks sorted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .graphs import FiniteGraph, GraphError
@@ -216,43 +218,21 @@ def _step_sets(rows, pairs, target: int, side: str, kind) -> tuple[frozenset[int
 def enumerate_local_morphisms(
     g: FiniteGraph, x: MorphismKind, k: int
 ) -> Iterator[PartialMap]:
-    """All maps of kind at least ``x`` with domain size ``1..k``, each exactly once.
-
-    Deterministic lexicographic order of ``(domain, image assignment)``.  Each
-    position's candidate values are one :func:`_step_mask` against the
-    pairs already assigned.
-    """
+    """All maps of kind at least ``x`` with domain size ``1..k``, each exactly once, in
+    lexicographic order of ``(domain, values)``: :func:`_local_maps` over sorted domains."""
     if k < 1:
         raise GraphError(f"max domain size must be at least 1, got {k}")
-    n = g.n
-    rows = g.rows
-    full = (1 << n) - 1
-    subsets = chain.from_iterable(combinations(range(n), s) for s in range(1, min(k, n) + 1))
-    for dom in sorted(subsets):
-        size = len(dom)
-
-        def rec(pairs: tuple[tuple[int, int], ...]) -> Iterator[PartialMap]:
-            if len(pairs) == size:
-                yield PartialMap(pairs)
-                return
-            u = dom[len(pairs)]
-            mask = _step_mask(rows, pairs, u, "extension", x, full)
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                yield from rec(pairs + ((u, low.bit_length() - 1),))
-
-        yield from rec(())
+    domains = sorted(all_subsets(range(g.n), min(k, g.n)))
+    return (PartialMap(pairs) for pairs, _, _ in _local_maps(g.rows, domains, [x]))
 
 
-def _local_maps(rows, k: int, floor: list[int]):
+def _local_maps(rows, domains: Iterable[tuple[int, ...]], floor: list[int]):
     """``(pairs, domain mask, kind)`` of the maps on ``rows`` of kind at least ``floor[0]``
-    (reread at every position: the consumer may raise it between maps), domain size
-    ``1..k``, in (size, domain, values) order.  A map stays injective while each new
-    value's bit is outside the image, and an isomorphism while it also avoids the rows
-    of the images of the non-neighbours."""
-    n, iso = len(rows), MorphismKind.ISOMORPHISM
-    full = (1 << n) - 1
+    (reread at every position: the consumer may raise it between maps), domain by
+    sorted domain of ``domains``, in order of values.  A map stays injective while each
+    new value's bit is outside the image, and an isomorphism while it also avoids the
+    rows of the images of the non-neighbours."""
+    iso, full = MorphismKind.ISOMORPHISM, (1 << len(rows)) - 1
 
     def rec(dom, pairs, dom_mask: int, image: int, kind: MorphismKind):
         # extends the prefix ``pairs`` of ``dom`` at its next vertex ``u``
@@ -277,9 +257,8 @@ def _local_maps(rows, k: int, floor: list[int]):
                 else:
                     yield from rec(dom, grown, dom_mask | 1 << u, image | low, new_kind)
 
-    for size in range(1, min(k, n) + 1):
-        for dom in combinations(range(n), size):
-            yield from rec(dom, (), 0, 0, iso)
+    for dom in domains:
+        yield from rec(dom, (), 0, 0, iso)
 
 
 def all_subsets(vertices: Iterable[int], max_size: int) -> Iterator[tuple[int, ...]]:

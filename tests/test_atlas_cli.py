@@ -98,6 +98,12 @@ class TestCli:
         assert main(["generate", "rs", "3"]) == 2
         assert "truncate" in capsys.readouterr().err
 
+    def test_truncate_cuts_a_finite_family(self, capsys):
+        assert main(["generate", "k", "5", "--truncate", "3"]) == 0
+        assert parse_text(capsys.readouterr().out) == complete(3)
+        assert main(["generate", "comp", "2", "3", "--truncate", "-1"]) == 2
+        assert "negative truncation size -1" in capsys.readouterr().err
+
     def test_classify_file(self, tmp_path, capsys):
         target = tmp_path / "g.txt"
         main(["generate", "k", "5", "-o", str(target)])
@@ -163,6 +169,19 @@ class TestCli:
         assert main(["atlas", "--max-n", "4", "-o", str(part), "--resume"]) == 0
         assert part.read_bytes() == data
         assert f"wrote {18 - kept} records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_n", [8, 0, -3])
+    def test_atlas_rejects_a_size_out_of_range_before_writing(self, max_n, tmp_path, capsys):
+        out = tmp_path / "a.jsonl"
+        assert main(["atlas", "--max-n", "2", "-o", str(out)]) == 0
+        before = out.read_bytes()
+        capsys.readouterr()
+        for extra in ([], ["--resume"]):
+            assert main(["atlas", "--max-n", str(max_n), "-o", str(out), *extra]) == 2
+            assert "atlas size must be in 1..7" in capsys.readouterr().err
+            assert out.read_bytes() == before
+        assert main(["atlas", "--max-n", str(max_n)]) == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("at, bad, message", [
         (2, "not json", "atlas line 3 is not a record"),

@@ -23,6 +23,7 @@ from homext.generators import (
 from homext.graphs import (
     FiniteGraph,
     GraphError,
+    OracleGraph,
     canonical_form,
     complement,
     connected_components,
@@ -294,6 +295,25 @@ class TestDispatch:
         assert generate("comp", ["2", "3"]) == composite(2, 3)
         assert generate("rs", ["3"], truncate=10) == oracle_truncate(rs_graph(3), 10)
         assert generate("radoplus", ["9"]) == rado_plus_dominating(9)
+
+    @pytest.mark.parametrize("name, params", [
+        ("k", ["5"]), ("i", ["4"]), ("comp", ["2", "3"]), ("comp", ["w", "2"]), ("rs", ["3"]),
+        ("rado", []), ("knfree", ["3", "12"]), ("h3prime", ["30"]), ("radoplus", ["9"]),
+    ])
+    def test_truncate_cuts_every_family_to_its_prefix(self, name, params):
+        g = generate(name, params)
+        finite = not isinstance(g, OracleGraph)
+        prefix = induced_subgraph(g, range(3)) if finite else oracle_truncate(g, 3)
+        assert generate(name, params, truncate=3) == prefix
+        if finite:  # a size past the last vertex keeps the whole graph
+            assert generate(name, params, truncate=100) == g
+        with pytest.raises(GraphError, match="negative truncation size -1"):
+            generate(name, params, truncate=-1)
+
+    @pytest.mark.parametrize("m, n", [(2, 3), (OMEGA, 2)])
+    def test_composite_rejects_a_negative_truncation(self, m, n):
+        with pytest.raises(GraphError, match="negative truncation size -1"):
+            composite(m, n, truncate=-1)
 
     def test_canonical_consistency(self):
         g1 = generate("knfree", ["3", "30"], seed=2)

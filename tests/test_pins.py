@@ -1,14 +1,21 @@
-"""Outputs pinned byte for byte, recorded at commit e201631.
+"""Outputs pinned byte for byte, recorded at commit e201631 (the property
+pins at 574c277).
 
 Each pin covers a path no other test reaches: the atlas bytes through n = 6,
 the built-in claims (bounded separations, the finite ``comp`` recipe and the
 disconnected-IH check among them), both outcomes of an ``inclusion`` claim,
-and the oracle branch of ``homext classify``.
+the oracle branch of ``homext classify``, and every field of the four
+extension-property reports on finite graphs and oracles.
 """
 
 import hashlib
+import random
 
+from homext.age import PROPERTY_NAMES, check_property
 from homext.cli import main
+from homext.generators import OMEGA, composite, rado_plus_dominating_oracle, rs_graph
+
+from conftest import random_graph
 
 ATLAS_6_SHA256 = "4c9404eed07bdc40714b3aa4cc4d9b04697fc09b090a839cab5277a0141beec2"
 
@@ -76,3 +83,37 @@ def test_classify_oracle_bounded(capsys):
     argv = "classify --gen rs 3 --bounded --max-domain 2 --horizon 16 --depth 6 --window 4"
     assert main(argv.split()) == 0
     assert capsys.readouterr().out == RS3_BOUNDED_TABLE
+
+
+PROPERTY_SHA256 = "1efe2839bd4e228cb55a7bd0ae8ae6153f4127e95a7f5eec205907c48d3592f8"
+
+
+def property_lines():
+    """One line per report: every field of the verdict, with the case counts."""
+    sizes_and_seeds = ((5, 1), (6, 2), (7, 3), (8, 4))
+    sources = [(random_graph(n, random.Random(seed)), {}) for n, seed in sizes_and_seeds]
+    oracles = (rs_graph(3), rado_plus_dominating_oracle(), composite(OMEGA, 3))
+    sources += [(o, {"horizon": h, "window": w}) for o in oracles for h, w in ((16, 4), (24, 5))]
+    for src, bounds in sources:
+        for which in PROPERTY_NAMES:
+            for k in (1, 2, 3):
+                rep = check_property(src, which, k, **bounds)
+                v = rep.verdict
+                yield (f"{which} k={k} {v.status.value} cases={rep.cases} "
+                       f"unwitnessed={rep.unwitnessed} witness={v.witness and v.witness.serialize()} "
+                       f"stuck={v.stuck} side={v.stuck_side} note={v.note} "
+                       f"certificate={v.certificate} bounds={v.bounds}")
+
+
+def test_property_reports():
+    text = "\n".join(property_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == PROPERTY_SHA256
+
+
+def test_check_dagger_on_rs3(capsys):
+    argv = "check dagger --gen rs 3 --k 2 --horizon 32 --window 6"
+    assert main(argv.split()) == 1
+    assert capsys.readouterr().out == (
+        "property dagger: fails cases=331 unwitnessed=0\n"
+        "  witness: 0->0,3->0 stuck=1 [confined candidate list exhausted]\n"
+    )
