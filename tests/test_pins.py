@@ -1,7 +1,8 @@
 """Outputs pinned byte for byte, recorded at commit e201631 (the property
-pins at 574c277).
+pins at 574c277, the verdict tables at b907c12).
 
 Each pin covers a path no other test reaches: the atlas bytes through n = 6,
+the full ``repr`` of the 18-verdict tables with their sharing of verdict objects,
 the built-in claims (bounded separations, the finite ``comp`` recipe and the
 disconnected-IH check among them), both outcomes of an ``inclusion`` claim,
 the oracle branch of ``homext classify``, and every field of the four
@@ -9,11 +10,16 @@ extension-property reports on finite graphs and oracles.
 """
 
 import hashlib
+import itertools
 import random
 
 from homext.age import PROPERTY_NAMES, check_property
+from homext.atlas import corpus_upto
 from homext.cli import main
+from homext.engine import classify_finite
+from homext.formats import to_graph6
 from homext.generators import OMEGA, composite, rado_plus_dominating_oracle, rs_graph
+from homext.graphs import FiniteGraph, canonical_form, relabel
 
 from conftest import random_graph
 
@@ -117,3 +123,37 @@ def test_check_dagger_on_rs3(capsys):
         "property dagger: fails cases=331 unwitnessed=0\n"
         "  witness: 0->0,3->0 stuck=1 [confined candidate list exhausted]\n"
     )
+
+
+TABLES_SHA256 = "3eb91a976aa715ace80174ea8afde49863be474dd9854db541465afefeb7901a"
+
+
+def table_lines():
+    """One line per graph: its graph6, for each entry the index of its verdict
+    object among the distinct ones, and the ``repr`` of the whole vector.
+
+    Every class on up to six vertices, a seeded relabelling of each 6-vertex
+    class, and two seeded relabellings of each of eight classes drawn from
+    G(7, 1/2) at each edge count 8..13, as the benchmark draws them.
+    """
+    rng = random.Random(19)
+    graphs = [g for _, g in corpus_upto(6)]
+    graphs += [relabel(g, rng.sample(range(6), 6)) for g in graphs if g.n == 6]
+    pairs = list(itertools.combinations(range(7), 2))
+    for edges in range(8, 14):
+        classes = {}
+        while len(classes) < 8:
+            chosen = [p for p in pairs if rng.random() < 0.5]
+            if len(chosen) == edges:
+                classes.setdefault(canonical_form(FiniteGraph.from_edges(7, chosen))[0], None)
+        graphs += [relabel(c, rng.sample(range(7), 7)) for c in classes for _ in range(2)]
+    for g in graphs:
+        mv = classify_finite(g)
+        index = {}
+        sharing = [index.setdefault(id(v), len(index)) for v in mv.entries.values()]
+        yield f"{to_graph6(g)} {sharing} {mv!r}"
+
+
+def test_verdict_tables():
+    text = "\n".join(table_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLES_SHA256
