@@ -28,6 +28,7 @@ the listed vertices and the witness.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,6 +48,8 @@ from .engine import DEFAULT_WINDOW, _RANK, Status, Verdict, _check_bounds, _past
 from .morphisms import MorphismKind, PartialMap, _local_maps, _step_mask, _step_sets, all_subsets
 
 EMBEDDING_CAP = 500
+# star and dagger on a finite graph walk at most sum_{s <= min(k, n)} C(n, s) n^s maps
+PROPERTY_MAP_CAP = 1_000_000
 PROPERTY_NAMES = ("delta", "therefore", "star", "dagger")
 
 
@@ -461,10 +464,10 @@ def check_property(
             unwitnessed += 1
     else:
         # star / dagger quantify over surjective local morphisms
-        if finite and g.n > 12:
-            raise GraphError(
-                f"{which} on a finite graph enumerates all local maps; n={g.n} exceeds 12"
-            )
+        maps = sum(math.comb(g.n, s) * g.n**s for s in range(1, min(k, g.n) + 1))
+        if finite and maps > PROPERTY_MAP_CAP:
+            raise GraphError(f"{which} on a finite graph may walk {maps} local maps "
+                             f"(n={g.n}, k={k}), over PROPERTY_MAP_CAP={PROPERTY_MAP_CAP}")
         star = which == "star"
         want, side = (
             (MorphismKind.MONOMORPHISM, "extension")

@@ -83,12 +83,8 @@ class ClaimResult:
 
 
 def parse_claims(text: str) -> list[PosetClaim]:
-    claims = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            claims.append(PosetClaim.parse(line))
-    return claims
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [PosetClaim.parse(line) for line in lines if line]
 
 
 def _parsed(parse, text: str, what: str):
@@ -275,7 +271,8 @@ def _check_separation(claim: PosetClaim) -> ClaimResult:
             return ClaimResult(claim, False, "cross-component map is not a monomorphism")
         if extend_finite(g, f, y2) is not None:
             return ClaimResult(claim, False, "cross-component map unexpectedly extends")
-        note = _component_confinement_note(g, f.domain, f.values, y2)
+        note = _component_confinement_note(
+            connected_components(g), f.domain, f.values) if y2.needs_surjective else None
         if not note:
             return ClaimResult(claim, False, "missing component-confinement diagnosis")
         return ClaimResult(claim, True, f"map {f.serialize()} has no {y2.value}-extension; {note}")

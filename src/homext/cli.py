@@ -45,6 +45,12 @@ def _add_bounds(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument(f"--{name}", type=int, default=default, metavar=metavar)
 
 
+def _add_source(p: argparse.ArgumentParser) -> None:
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("file", nargs="?", type=Path, default=None)
+    src.add_argument("--gen", nargs="+", metavar=("NAME", "PARAM"))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="homext", description=__doc__)
     top.add_argument("--version", action="version", version=f"homext {__version__}")
@@ -59,9 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", type=Path, default=None)
 
     p = sub.add_parser("classify", help="membership table for a finite graph")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("file", nargs="?", type=Path, default=None)
-    src.add_argument("--gen", nargs="+", metavar=("NAME", "PARAM"))
+    _add_source(p)
     p.add_argument("--truncate", type=int, default=None, metavar="N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bounded", action="store_true",
@@ -79,18 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("claims", nargs="?", type=Path, default=None)
 
     p = sub.add_parser("age", help="age report with cone/co-cone flags")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("file", nargs="?", type=Path, default=None)
-    src.add_argument("--gen", nargs="+", metavar=("NAME", "PARAM"))
+    _add_source(p)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     _add_bounds(p, "horizon")
 
     p = sub.add_parser("check", help="check one property or criterion")
     p.add_argument("what", choices=PROPERTY_NAMES + ("HH", "HE", "ME"))
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("file", nargs="?", type=Path, default=None)
-    src.add_argument("--gen", nargs="+", metavar=("NAME", "PARAM"))
+    _add_source(p)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     _add_bounds(p, "horizon", "window")
@@ -176,8 +176,10 @@ def _cmd_atlas(args) -> int:
     skip = existing_ids(kept.splitlines())
     records = atlas_records(args.max_n, skip_ids=skip)
     if args.output:
-        with _open_output(args.output, "a") as out:
-            out.truncate(len(kept.encode()))
+        # only a resumed regular file is kept, less its torn last line
+        with _open_output(args.output, "a" if kept else "w") as out:
+            if kept:
+                out.truncate(len(kept.encode()))
             written = write_atlas(records, out, header=not kept)
         print(f"wrote {written} records to {args.output}", file=sys.stderr)
     else:

@@ -8,10 +8,12 @@ an automorphism: I = M = E = B = A as extension targets.  One loop per
 graph over the stream of local maps (with their kinds, in (size, domain,
 values) order) asks two memoized backtracking extenders (H and A) about
 them, and stops once the first failure of each of the six (X, H or A) pairs
-is known; the 18 verdicts are read off those.  The extenders check forward: each
-unassigned vertex carries its candidate mask, every assignment narrows
-them, and a branch that empties one is refuted before it is entered.  For
-oracle graphs a sweep starts a back-and-forth schedule from each map of the
+is known.  The 18 verdicts are read off those: every entry starts as HOLDS,
+and each distinct failure fills the entries it stands for (H's: Y = H; A's:
+I, M, E, B, A) with one stuck vertex per step kind and one component note
+for the surjective Ys.  The extenders check forward: each unassigned
+vertex carries its candidate mask, every assignment narrows them, and a
+branch that empties one is refuted before it is entered.  For oracle graphs a sweep starts a back-and-forth schedule from each map of the
 same stream on the window's rows.  A schedule reads the bitset rows of one
 truncation, so a malformed (asymmetric or reflexive) oracle raises
 GraphError; a sweep runs each (map, step index) state once, and builds
@@ -368,24 +370,19 @@ class _YExtender:
         return result
 
 
-def _component_confinement_note(g: FiniteGraph, dom, vals, y: EndoKind) -> str | None:
-    """Explain surjectivity failure through components when that is the obstruction."""
-    if not y.needs_surjective:
-        return None
-    comps = connected_components(g)
+def _component_confinement_note(comps: list[tuple[int, ...]], dom, vals) -> str | None:
+    """Explain a surjectivity failure of the map ``dom -> vals`` through the
+    components ``comps`` of the graph (as :func:`connected_components` lists
+    them), when they are the obstruction."""
     if len(comps) < 2:
         return None
-    comp_of = {}
-    for idx, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = idx
-    touched = {comp_of[u] for u in dom}
+    comp_of = {v: idx for idx, comp in enumerate(comps) for v in comp}
     targets = {comp_of[t] for t in vals}
-    untouched = len(comps) - len(touched)
-    if len(targets) + untouched < len(comps):
+    coverable = len(targets) + len(comps) - len({comp_of[u] for u in dom})
+    if coverable < len(comps):
         return (
             f"image confined to component(s) {sorted(targets)} of {len(comps)}; "
-            f"at most {len(targets) + untouched} component(s) coverable"
+            f"at most {coverable} component(s) coverable"
         )
     return None
 
@@ -393,11 +390,18 @@ def _component_confinement_note(g: FiniteGraph, dom, vals, y: EndoKind) -> str |
 _FINITE_Y = (EndoKind.H, EndoKind.A)
 _XY_KEYS = tuple((x, y) for x in X_KINDS for y in Y_KINDS)
 _HOLDS = Verdict(Status.HOLDS)
+# a finite target's step kinds, strongest first, and the (Y, step kind, surjective)
+# its failure stands for
+_STANDS_FOR = {
+    y: (sorted({z.required_kind for z in ys}, reverse=True),
+        tuple((z, z.required_kind, z.needs_surjective) for z in ys))
+    for y, ys in ((EndoKind.H, (EndoKind.H,)), (EndoKind.A, Y_KINDS[1:]))
+}
 
 
-def _first_failures(g: FiniteGraph) -> dict[tuple, tuple[PartialMap, MorphismKind]]:
+def _first_failures(g: FiniteGraph) -> dict[tuple, tuple[PartialMap, MorphismKind, int]]:
     """The first non-extendable local morphism of kind at least ``x``, with its
-    kind, per ``x`` and ``y`` in H and A; a missing pair holds.
+    kind and domain mask, per ``x`` and ``y`` in H and A; a missing pair holds.
 
     One loop over the :func:`~homext.morphisms._local_maps` stream, whose
     floor is the weakest ``x`` not yet settled for some ``y``; the loop stops
@@ -413,7 +417,7 @@ def _first_failures(g: FiniteGraph) -> dict[tuple, tuple[PartialMap, MorphismKin
             if kind < lo:
                 continue
             if kind < y.required_kind or not extenders[y].extends(dom_mask, pairs):
-                witness = PartialMap(pairs), kind
+                witness = PartialMap(pairs), kind, dom_mask
                 for x in X_KINDS:
                     if lo <= x <= kind:
                         failures[(x, y)] = witness
@@ -426,51 +430,60 @@ def _first_failures(g: FiniteGraph) -> dict[tuple, tuple[PartialMap, MorphismKin
 
 @lru_cache(maxsize=4096)
 def _classified(g: FiniteGraph) -> MembershipVector:
-    """The 18 verdicts from the witnesses of one :func:`_first_failures` pass,
-    with one ``stuck`` per distinct (witness, step kind) and one note per
-    distinct (witness, surjective target); equal verdicts share one object.
+    """The 18 verdicts read off the at most six failures of one :func:`_first_failures`
+    pass.  Every entry starts as HOLDS, and each distinct failure is handled once
+    for all the ``x`` sharing it: H's stands for Y = H, A's for I, M, E, B and A (the
+    finite identity).  It computes one ``stuck`` per step kind (the least vertex
+    outside its domain mask whose step at that kind has no candidate) and one
+    component note for its surjective Ys, from components computed at most once per
+    graph.  Equal verdicts share one object; the entries keep :data:`_XY_KEYS` order.
     """
-    failures, full = _first_failures(g), (1 << g.n) - 1
-    stucks, notes, shared = {}, {}, {}  # keyed as above; shared maps a verdict to itself
-    verdicts = []
-    for x, y in _XY_KEYS:
-        w, w_kind = failures.get((x, EndoKind.H if y is EndoKind.H else EndoKind.A), (None, None))
-        if w is None:
-            verdicts.append(_HOLDS)
-            continue
-        kind, surj, dom = y.required_kind, y.needs_surjective, w.domain
-        if (w, kind) not in stucks:  # the least vertex outside the domain without a candidate
-            outside = [c for c in range(g.n) if c not in dom] if w_kind >= kind else []
-            stucks[w, kind] = next((
-                c for c in outside if not _step_mask(g.rows, w.pairs, c, "extension", kind, full)
-            ), None)
-        if (w, surj) not in notes:
-            notes[w, surj] = _component_confinement_note(g, dom, w.values, y)
-        v = Verdict(Status.FAILS, witness=w, stuck=stucks[w, kind], note=notes[w, surj])
-        verdicts.append(shared.setdefault(v, v))
-    return MembershipVector(dict(zip(_XY_KEYS, verdicts)))
+    rows, full = g.rows, (1 << g.n) - 1
+    entries = dict.fromkeys(_XY_KEYS, _HOLDS)
+    comps, last, shared = None, None, {}  # shared maps (pairs, stuck, note) to a verdict
+    for (x, finite_y), failure in _first_failures(g).items():
+        if failure is not last:  # the xs sharing a failure come one after another
+            last, (w, w_kind, dom_mask) = failure, failure
+            note = None
+            if finite_y is EndoKind.A:
+                comps = comps or connected_components(g)
+                note = _component_confinement_note(comps, w.domain, w.values)
+            kinds, ys = _STANDS_FOR[finite_y]
+            # strongest kind first: a vertex with a candidate at one kind has one at
+            # every weaker kind, so each search resumes at the previous stuck vertex
+            stucks, free = {}, full & ~dom_mask
+            for kind in kinds:
+                stucks[kind] = None
+                if w_kind >= kind:
+                    while free:
+                        c = (free & -free).bit_length() - 1
+                        if not _step_mask(rows, w.pairs, c, "extension", kind, full):
+                            stucks[kind] = c
+                            break
+                        free ^= 1 << c
+            verdicts = []
+            for y, kind, surj in ys:
+                key = w.pairs, stucks[kind], note if surj else None
+                v = shared.get(key)
+                if v is None:
+                    v = shared[key] = Verdict(Status.FAILS, witness=w, stuck=key[1], note=key[2])
+                verdicts.append((y, v))
+        for y, v in verdicts:
+            entries[x, y] = v
+    return MembershipVector(entries)
 
 
 def decide_xy_finite(g: FiniteGraph, x: MorphismKind, y: EndoKind) -> Verdict:
     """Exact verdict: does every local morphism of kind ``x`` extend to kind ``y``?
-
-    Exhaustive over all local morphisms in (size, domain, images) order, so a
-    failure's witness is the first non-extendable map, of minimal domain.  The
-    streamed sweep stops once the first failures of the six (X, H or A) pairs
-    are known; Y in I, M, E, B shares A's witness (I = M = E = B = A as finite
-    extension targets), and the verdict's ``stuck`` and ``note`` follow ``y``.
-    Size is capped at :data:`DECIDE_CAP`: a sweep that does not stop early
-    enumerates every local morphism.
-    """
+    The ``(x, y)`` entry of :func:`classify_finite`."""
     return classify_finite(g).entries[(x, y)]
 
 
 def classify_finite(g: FiniteGraph) -> MembershipVector:
-    """All 18 verdicts at once, built from the witnesses of one streamed pass.
-
-    The pass stops once the first failures of the six (X, H or A) pairs are
-    known; I, M, E and B read A's, by the finite identity I = M = E = B = A.
-    One ``stuck`` and one note per distinct witness; equal verdicts share one object.
+    """All 18 verdicts at once, read off the six first failures (see
+    :func:`_classified`).  A failure's witness is the first non-extendable map
+    in (size, domain, images) order, so of minimal domain.  Size is capped at
+    :data:`DECIDE_CAP`: a pass that does not stop early walks every local map.
     """
     if g.n > DECIDE_CAP:
         raise GraphError(f"exact classification for n={g.n} exceeds cap {DECIDE_CAP}")

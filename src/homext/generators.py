@@ -455,29 +455,12 @@ def generate(name: str, params: Iterable[object], *, truncate: int | None = None
             raise GraphError(f"generator {name!r} expects {count} parameter(s)")
         return [OMEGA if name == "comp" and p in (OMEGA, "w") else integer(p) for p in params]
 
-    if name == "k":
-        (n,) = want(1)
-        g = complete(n)
-    elif name == "i":
-        (n,) = want(1)
-        g = independent(n)
-    elif name == "comp":
-        g = composite(*want(2))
-    elif name == "rs":
-        (n,) = want(1)
-        g = rs_graph(n)
-    elif name == "rado":
-        want(0)
-        g = rado_bit()
-    elif name == "knfree":
-        n, size = want(2)
-        g = knfree_generic(n, size, seed)
-    elif name == "h3prime":
-        (size,) = want(1)
-        g = h3_prime(size, seed)[0]
-    elif name == "radoplus":
-        (n,) = want(1)
-        g = rado_plus_dominating(n)
-    else:
+    builders = {
+        "k": (1, complete), "i": (1, independent), "comp": (2, composite), "rs": (1, rs_graph),
+        "rado": (0, rado_bit), "knfree": (2, lambda n, size: knfree_generic(n, size, seed)),
+        "h3prime": (1, lambda size: h3_prime(size, seed)[0]), "radoplus": (1, rado_plus_dominating),
+    }
+    if name not in builders:
         raise GraphError(f"unknown generator {name!r}")
-    return _truncated(g, truncate)
+    count, build = builders[name]
+    return _truncated(build(*want(count)), truncate)

@@ -10,7 +10,7 @@ import itertools
 import random
 import time
 
-from homext.age import Flag, check_alpha_sigma_bound, check_property, compute_age
+from homext.age import check_alpha_sigma_bound, check_property, compute_age
 from homext.atlas import atlas_records, write_atlas
 from homext.claims import PosetClaim, check_claim
 from homext.engine import (
@@ -190,7 +190,7 @@ def test_07_disconnected_epimorphism_failure():
     f = PartialMap(((0, 0), (20, 1)))  # cross-component nonedge onto an edge
     assert classify_map(g, f) is MorphismKind.MONOMORPHISM
     total = extend_finite(g, f, EndoKind.E)
-    note = _component_confinement_note(g, f.domain, f.values, EndoKind.E)
+    note = _component_confinement_note(connected_components(g), f.domain, f.values)
     ok = total is None and note is not None and "confined" in note
     _line(7, ok, f"no surjective extension; report: {note}")
     assert total is None

@@ -494,6 +494,13 @@ class TestProperties:
         assert rep.verdict.fails and rep.cases == uncovered[0] + 1
         assert rep.verdict.witness == PartialMap(tuple((u, u) for u in first))
 
+    def test_star_and_dagger_cap_bounds_the_maps_not_the_vertices(self):
+        # 13 * 13 = 169 maps at k = 1; at n = 12, k = 4 the bound is 10,654,128
+        assert check_property(complete(13), "star", 1).verdict.holds
+        for which in ("star", "dagger"):
+            with pytest.raises(GraphError, match="10654128 local maps .* PROPERTY_MAP_CAP"):
+                check_property(complete(12), which, 4)
+
     def test_star_on_empty_graph(self):
         assert check_property(independent(5), "star", 2).verdict.holds
 

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import pytest
 
@@ -169,6 +170,20 @@ class TestCli:
         assert main(["atlas", "--max-n", "4", "-o", str(part), "--resume"]) == 0
         assert part.read_bytes() == data
         assert f"wrote {18 - kept} records" in capsys.readouterr().err
+
+    def test_atlas_resume_cuts_a_torn_tail_after_the_last_record(self, tmp_path, capsys):
+        out = tmp_path / "a.jsonl"
+        assert main(["atlas", "--max-n", "3", "-o", str(out)]) == 0
+        full = out.read_bytes()
+        out.write_bytes(full + b'{"id": "n3g0')
+        assert main(["atlas", "--max-n", "3", "-o", str(out), "--resume"]) == 0
+        assert out.read_bytes() == full
+        assert "wrote 0 records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--resume"]])
+    def test_atlas_into_a_device(self, extra, capsys):
+        assert main(["atlas", "--max-n", "3", "-o", os.devnull, *extra]) == 0
+        assert "wrote 7 records" in capsys.readouterr().err
 
     @pytest.mark.parametrize("max_n", [8, 0, -3])
     def test_atlas_rejects_a_size_out_of_range_before_writing(self, max_n, tmp_path, capsys):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from homext.formats import emit_text, from_graph6, parse_text, to_graph6
 from homext.generators import complete, independent

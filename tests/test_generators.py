@@ -24,7 +24,6 @@ from homext.graphs import (
     FiniteGraph,
     GraphError,
     OracleGraph,
-    canonical_form,
     complement,
     connected_components,
     induced_subgraph,

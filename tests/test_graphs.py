@@ -1,10 +1,8 @@
 import dataclasses
-import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from homext.formats import to_graph6
 from homext.generators import complete, independent, rado_bit, rs_graph
 from homext.graphs import (
     FiniteGraph,

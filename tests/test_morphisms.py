@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homext.generators import complete, independent
-from homext.graphs import FiniteGraph, GraphError
+from homext.graphs import GraphError
 from homext.morphisms import (
     EndoKind,
     MorphismKind,
