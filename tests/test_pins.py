@@ -1,12 +1,14 @@
 """Outputs pinned byte for byte, recorded at commit e201631 (the property
-pins at 574c277, the verdict tables at b907c12).
+pins at 574c277, the verdict tables at b907c12, the structure-less property
+pin at 7cf6dcc).
 
 Each pin covers a path no other test reaches: the atlas bytes through n = 6,
 the full ``repr`` of the 18-verdict tables with their sharing of verdict objects,
 the built-in claims (bounded separations, the finite ``comp`` recipe and the
 disconnected-IH check among them), both outcomes of an ``inclusion`` claim,
 the oracle branch of ``homext classify``, and every field of the four
-extension-property reports on finite graphs and oracles.
+extension-property reports on finite graphs and oracles, with and without a
+declared structure.
 """
 
 import hashlib
@@ -19,7 +21,7 @@ from homext.cli import main
 from homext.engine import classify_finite
 from homext.formats import to_graph6
 from homext.generators import OMEGA, composite, rado_plus_dominating_oracle, rs_graph
-from homext.graphs import FiniteGraph, canonical_form, relabel
+from homext.graphs import FiniteGraph, OracleGraph, canonical_form, relabel
 
 from conftest import random_graph
 
@@ -103,17 +105,40 @@ def property_lines():
     for src, bounds in sources:
         for which in PROPERTY_NAMES:
             for k in (1, 2, 3):
-                rep = check_property(src, which, k, **bounds)
-                v = rep.verdict
-                yield (f"{which} k={k} {v.status.value} cases={rep.cases} "
-                       f"unwitnessed={rep.unwitnessed} witness={v.witness and v.witness.serialize()} "
-                       f"stuck={v.stuck} side={v.stuck_side} note={v.note} "
-                       f"certificate={v.certificate} bounds={v.bounds}")
+                yield property_line(check_property(src, which, k, **bounds), k)
+
+
+def property_line(rep, k):
+    v = rep.verdict
+    return (f"{rep.which} k={k} {v.status.value} cases={rep.cases} "
+            f"unwitnessed={rep.unwitnessed} witness={v.witness and v.witness.serialize()} "
+            f"stuck={v.stuck} side={v.stuck_side} note={v.note} "
+            f"certificate={v.certificate} bounds={v.bounds}")
 
 
 def test_property_reports():
     text = "\n".join(property_lines())
     assert hashlib.sha256(text.encode()).hexdigest() == PROPERTY_SHA256
+
+
+BARE_PROPERTY_SHA256 = "f164e2cc2d24d8a592f7d3436af29b876f75d39df296586566172deafa44b61a"
+
+
+def bare_property_lines():
+    """The lines of :func:`property_lines` on copies of two oracles without
+    their declared structure, so every case the truncation cannot answer
+    counts as unwitnessed, for ``delta`` and ``therefore`` too."""
+    for o in (rs_graph(3), composite(OMEGA, 3)):
+        bare = OracleGraph(o.adjacency, o.name)
+        for h, w in ((16, 4), (24, 5)):
+            for which in PROPERTY_NAMES:
+                for k in (1, 2, 3):
+                    yield property_line(check_property(bare, which, k, horizon=h, window=w), k)
+
+
+def test_property_reports_without_structure():
+    text = "\n".join(bare_property_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == BARE_PROPERTY_SHA256
 
 
 def test_check_dagger_on_rs3(capsys):
