@@ -13,13 +13,17 @@ independence/star statistics with their inequality.
 Every search inside a truncation runs on its bitset rows.  The copies of
 each size are walked depth first, holding only the path: a copy's pattern
 key extends its prefix's by the new vertex's row bits on the members, and
-its cone and co-cone masks are its prefix's with one row AND each.  Star
-and dagger read their maps from the engine's stream
-:func:`~homext.morphisms._local_maps`; their steps and the orders' searches
-take candidates from its kernel :func:`~homext.morphisms._step_mask`.  Each call
+its cone and co-cone masks are its prefix's with one row AND each.  Each call
 canonicalises one copy per labelled pattern it meets and keeps nothing
-afterwards.  Only an oracle step left without a candidate in the truncation
-looks past it, through the engine's one helper
+afterwards.  The extension properties are one-point demands
+``(pos, neg, skip)``: delta and therefore ask for a cone or a co-cone over
+a copy, star and dagger for a forth or back step
+(:func:`~homext.morphisms._step_sets`) of a map from the engine's stream
+:func:`~homext.morphisms._local_maps`.  Those steps and the orders' searches
+take candidates from its kernel :func:`~homext.morphisms._step_mask`.  A
+case or copy left without a candidate in the truncation is absent on a
+finite graph; on an oracle it looks past the truncation through the
+engine's one helper
 :func:`~homext.engine._past_truncation`: the declared structure is asked for
 complete candidate lists first, then for a witness, and the predicate about
 the listed vertices and the witness.
@@ -413,13 +417,13 @@ def check_property(
     """Bounded check of one of the four extension properties.
 
     ``delta``: every subset of size up to ``k`` has a cone; ``therefore``:
-    a co-cone (both one row AND per subset, see :func:`_copies`).
-    ``star``: every surjective local monomorphism with domain size up to
-    ``k`` extends one domain vertex at a time (image-side vertex outside the
-    current image); ``dagger``: every surjective local homomorphism accepts
-    a preimage for every vertex outside its image.  Their maps and each
-    step's candidates inside the truncation come from the engine's stream
-    :func:`~homext.morphisms._local_maps` and its kernel ``_step_mask``.
+    a co-cone.  ``star``: every surjective local monomorphism with domain
+    size up to ``k`` extends one domain vertex at a time (image-side vertex
+    outside the current image); ``dagger``: every surjective local
+    homomorphism accepts a preimage for every vertex outside its image.
+    Each case is a one-point demand (:func:`_property_cases`), and a case
+    with no candidate in the truncation takes one path: a definite absence
+    on a finite graph, a look past the truncation on an oracle.
 
     Finite graphs get definite verdicts for the bounded quantifiers.  For
     oracles, subsets and map domains range over ``window`` (default
@@ -435,39 +439,55 @@ def check_property(
     if not isinstance(source, FiniteGraph):
         _check_bounds(window=window)  # the horizon is checked with the source
     g, oracle = _as_source(source, horizon)
-    finite = oracle is None
-    domain_bound = g.n if finite else min(DEFAULT_WINDOW if window is None else window, g.n)
-    certificate = None if finite else "confined candidate list exhausted"
-    cases = 0
-    unwitnessed = 0
-    if which in ("delta", "therefore"):
-        co = which == "therefore"
-        for subset, _, cone, cocone in _copies(g.rows, domain_bound, min(k, domain_bound)):
-            cases += 1
-            if cocone if co else cone:
-                continue
-            exists, definite_absence = _cone_status(oracle, subset, co=co)
-            if exists:
-                continue
-            if definite_absence:
-                return PropertyReport(
-                    which,
-                    Verdict(
-                        Status.FAILS,
-                        witness=PartialMap(tuple((u, u) for u in subset)),
-                        note=f"no {'co-cone' if co else 'cone'} over {subset}",
-                        certificate=certificate,
-                    ),
-                    cases,
-                    unwitnessed,
-                )
-            unwitnessed += 1
-    else:
-        # star / dagger quantify over surjective local morphisms
+    if oracle is None and which in ("star", "dagger"):
         maps = sum(math.comb(g.n, s) * g.n**s for s in range(1, min(k, g.n) + 1))
-        if finite and maps > PROPERTY_MAP_CAP:
+        if maps > PROPERTY_MAP_CAP:
             raise GraphError(f"{which} on a finite graph may walk {maps} local maps "
                              f"(n={g.n}, k={k}), over PROPERTY_MAP_CAP={PROPERTY_MAP_CAP}")
+    domain_bound = g.n if oracle is None else min(DEFAULT_WINDOW if window is None else window, g.n)
+    unwitnessed = 0
+    for cases, stuck in _property_cases(g, which, k, domain_bound):
+        if stuck is None:  # the last item, after every case
+            break
+        demand, pairs, t, side, note = stuck
+        if oracle is not None:
+            live, confined = _past_truncation(oracle, *demand)
+            if live:
+                continue
+            if confined is None:
+                unwitnessed += 1
+                continue
+        certificate = None if oracle is None else "confined candidate list exhausted"
+        failure = Verdict(Status.FAILS, witness=PartialMap(pairs), stuck=t, stuck_side=side,
+                          note=note, certificate=certificate)
+        return PropertyReport(which, failure, cases, unwitnessed)
+    bounds = {"k": k, "horizon": horizon, "window": domain_bound}
+    verdict = Verdict(Status.HOLDS) if oracle is None else Verdict(Status.UNKNOWN, bounds=bounds)
+    return PropertyReport(which, verdict, cases, unwitnessed)
+
+
+def _property_cases(g: FiniteGraph, which: str, k: int, domain_bound: int):
+    """``(cases, stuck)`` for each case of ``which`` over ``range(domain_bound)``
+    that ``g`` holds no candidate for: the cases met so far, this one included,
+    and ``(demand, pairs, stuck, side, note)``, the case's one-point demand
+    ``(pos, neg, skip)``, asking for a vertex outside ``skip`` adjacent to all
+    of ``pos`` and none of ``neg``, with the fields of its failure.  The last
+    item is ``(cases, None)``, with every case counted.  ``delta`` and
+    ``therefore`` ask for a cone ``(S, {}, S)`` or a co-cone ``({}, S, S)``
+    over each copy ``S`` of :func:`_copies`, tested on its masks; ``star`` and
+    ``dagger`` ask for each forth or back step of a map of
+    :func:`~homext.morphisms._local_maps`, tested with ``_step_mask``."""
+    cases = 0
+    if which in ("delta", "therefore"):
+        co, none = which == "therefore", frozenset()
+        for subset, _, cone, cocone in _copies(g.rows, domain_bound, min(k, domain_bound)):
+            cases += 1
+            if not (cocone if co else cone):
+                s = frozenset(subset)
+                demand = (none, s, s) if co else (s, none, s)
+                note = f"no {'co-cone' if co else 'cone'} over {subset}"
+                yield cases, (demand, tuple((u, u) for u in subset), None, None, note)
+    else:
         star = which == "star"
         want, side = (
             (MorphismKind.MONOMORPHISM, "extension")
@@ -485,36 +505,11 @@ def check_property(
                 if fixed >> t & 1:
                     continue
                 cases += 1
-                if _step_mask(g.rows, pairs, t, side, want, search_mask):
-                    continue
-                live, confined = (False, True) if finite else _past_truncation(
-                    oracle, *_step_sets(g.rows, pairs, t, side, want)
-                )
-                if live:
-                    continue
-                if confined:
-                    return PropertyReport(
-                        which,
-                        Verdict(
-                            Status.FAILS,
-                            witness=PartialMap(pairs),
-                            stuck=t,
-                            stuck_side=side,
-                            note=f"no {'image' if star else 'preimage'} for {t} outside {list(_bits(avoid))}",
-                            certificate=certificate,
-                        ),
-                        cases,
-                        unwitnessed,
-                    )
-                unwitnessed += 1
-    if finite:
-        return PropertyReport(which, Verdict(Status.HOLDS), cases, unwitnessed)
-    return PropertyReport(
-        which,
-        Verdict(Status.UNKNOWN, bounds={"k": k, "horizon": horizon, "window": domain_bound}),
-        cases,
-        unwitnessed,
-    )
+                if not _step_mask(g.rows, pairs, t, side, want, search_mask):
+                    demand = _step_sets(g.rows, pairs, t, side, want)
+                    note = f"no {'image' if star else 'preimage'} for {t} outside {list(_bits(avoid))}"
+                    yield cases, (demand, pairs, t, side, note)
+    yield cases, None
 
 
 def alpha(g: FiniteGraph) -> int:

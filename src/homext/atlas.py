@@ -40,7 +40,10 @@ def graphs_of_size(n: int) -> list[FiniteGraph]:
 
 
 def corpus_upto(n_max: int) -> list[tuple[str, FiniteGraph]]:
-    """(id, graph) pairs for every isomorphism class on ``1..n_max`` vertices."""
+    """(id, graph) pairs for every isomorphism class on ``1..n_max`` vertices.
+    An ``n_max`` outside ``1..ENUMERATION_CAP`` raises :class:`GraphError`."""
+    if not 1 <= n_max <= ENUMERATION_CAP:
+        raise GraphError(f"atlas size must be in 1..{ENUMERATION_CAP}, got {n_max}")
     out = []
     for n in range(1, n_max + 1):
         for idx, g in enumerate(graphs_of_size(n)):
@@ -100,10 +103,8 @@ def record_for(graph_id: str, g: FiniteGraph) -> AtlasRecord:
 
 def atlas_records(n_max: int, *, skip_ids: Container[str] = ()) -> Iterator[AtlasRecord]:
     """Records of the corpus up to ``n_max``; ids in ``skip_ids`` are never classified.
-    An ``n_max`` outside ``1..ENUMERATION_CAP`` raises :class:`GraphError` at the
-    call, before a record is asked for."""
-    if not 1 <= n_max <= ENUMERATION_CAP:
-        raise GraphError(f"atlas size must be in 1..{ENUMERATION_CAP}, got {n_max}")
+    The corpus is built at the call, so a bad ``n_max`` raises before a record
+    is asked for (see :func:`corpus_upto`)."""
     corpus = corpus_upto(n_max)
     return (record_for(graph_id, g) for graph_id, g in corpus if graph_id not in skip_ids)
 

@@ -151,15 +151,15 @@ def _truncated(g, size: int | None):
     return induced_subgraph(g, range(min(size, g.n)))
 
 
-def composite(m: int | str, n: int | str, *, truncate: int | None = None):
+def composite(m: int | str, n: int | str):
     """Disjoint union of ``m`` cliques of size ``n`` (either may be ``OMEGA``).
 
     Finite ``m`` and ``n`` give a :class:`FiniteGraph` with contiguous blocks
     (empty when either is 0); 0 beside ``OMEGA`` raises :class:`GraphError`.
     Otherwise an :class:`OracleGraph` is returned: blocks are ``i // n`` for
     finite ``n``, ``i % m`` for finite ``m``, and Cantor-diagonal fibers when
-    both are omega.  Either is cut to ``truncate`` vertices when that is given
-    (see :func:`_truncated`).
+    both are omega.  A prefix is read with :func:`oracle_truncate`, or cut by
+    :func:`generate`'s ``truncate``.
     """
     for tok in (m, n):
         if tok != OMEGA and (not isinstance(tok, int) or tok < 0):
@@ -167,19 +167,13 @@ def composite(m: int | str, n: int | str, *, truncate: int | None = None):
     if OMEGA in (m, n) and 0 in (m, n):  # no vertices at all, and block() would divide by 0
         raise GraphError(f"composite parameter 0 beside {OMEGA}")
     if m != OMEGA and n != OMEGA:
-        return _truncated(lex_product(independent(int(m)), complete(int(n))), truncate)
+        return lex_product(independent(int(m)), complete(int(n)))
     structure = CompositeStructure(m, n)
 
     def adjacency(i: int, j: int) -> bool:
         return i != j and structure.block(i) == structure.block(j)
 
-    o = OracleGraph(
-        adjacency,
-        name=f"comp({m},{n})",
-        metadata={"family": "composite", "m": m, "n": n},
-        structure=structure,
-    )
-    return _truncated(o, truncate)
+    return OracleGraph(adjacency, name=f"comp({m},{n})", structure=structure)
 
 
 @dataclass(frozen=True)
@@ -235,12 +229,7 @@ def rs_graph(n: int) -> OracleGraph:
             return False
         return hi % n != lo % n
 
-    return OracleGraph(
-        adjacency,
-        name=f"rs({n})",
-        metadata={"family": "rs", "n": n},
-        structure=RSStructure(n),
-    )
+    return OracleGraph(adjacency, name=f"rs({n})", structure=RSStructure(n))
 
 
 class RadoBitStructure(GraphStructure):
@@ -266,12 +255,7 @@ def rado_bit() -> OracleGraph:
         lo, hi = min(i, j), max(i, j)
         return bool(hi >> lo & 1)
 
-    return OracleGraph(
-        adjacency,
-        name="rado",
-        metadata={"family": "rado"},
-        structure=RadoBitStructure(),
-    )
+    return OracleGraph(adjacency, name="rado", structure=RadoBitStructure())
 
 
 @dataclass(frozen=True)
@@ -321,12 +305,7 @@ def rado_plus_dominating_oracle() -> OracleGraph:
             return True
         return rado.adj(i - 1, j - 1)
 
-    return OracleGraph(
-        adjacency,
-        name="radoplus",
-        metadata={"family": "radoplus", "dominating": 0},
-        structure=DominatedRadoStructure(),
-    )
+    return OracleGraph(adjacency, name="radoplus", structure=DominatedRadoStructure())
 
 
 def is_clique_free(g: FiniteGraph, k: int) -> bool:

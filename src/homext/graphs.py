@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 VERTEX_CAP = 64
 CANONICAL_CAP = 10
@@ -106,17 +106,16 @@ class OracleGraph:
     """Countable graph given by a pure adjacency predicate on pairs of naturals.
 
     The predicate must be total, deterministic, irreflexive and symmetric.
-    ``metadata`` holds free-form annotations for reports only; checkers never
-    trust it.  ``structure`` optionally carries the generator's declared
-    structural facts (cone/co-cone confinement and witness rules) which
-    bounded checkers use to certify verdicts that a truncation alone cannot
-    settle.  A private field, outside ``repr`` and ``==`` and not copied by
-    ``dataclasses.replace``, keeps the largest truncation validated so far.
+    ``name`` labels the graph in reports and errors.  ``structure`` optionally
+    carries the generator's declared structural facts (cone/co-cone
+    confinement and witness rules) which bounded checkers use to certify
+    verdicts that a truncation alone cannot settle.  A private field, outside
+    ``repr`` and ``==`` and not copied by ``dataclasses.replace``, keeps the
+    largest truncation validated so far.
     """
 
     adjacency: Callable[[int, int], bool]
     name: str
-    metadata: Mapping[str, object] = field(default_factory=dict)
     structure: object | None = None
     # the largest truncation oracle_truncate validated; replace() starts empty
     _truncated: FiniteGraph = field(default=FiniteGraph(0, ()), init=False, repr=False, compare=False)
@@ -298,7 +297,10 @@ def oracle_truncate(o: OracleGraph, n: int) -> FiniteGraph:
     The largest truncation validated so far is kept on ``o``, so a read of
     that size or smaller is a masked prefix of its rows and probes nothing; a
     larger read probes every pair again, and a read that raises keeps nothing.
+    Anything but an :class:`OracleGraph` raises :class:`GraphError`.
     """
+    if not isinstance(o, OracleGraph):
+        raise GraphError(f"truncation reads an oracle graph, got {type(o).__name__}")
     if n < 0:
         raise GraphError(f"negative truncation size {n}")
     kept, mask = o._truncated, (1 << n) - 1

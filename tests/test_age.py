@@ -212,7 +212,7 @@ AGE_ORACLES = {
 def recorded(o):
     calls = []
     structure = RecordingStructure(o.structure, calls)
-    return OracleGraph(o.adjacency, o.name, o.metadata, structure), calls
+    return OracleGraph(o.adjacency, o.name, structure=structure), calls
 
 
 def reference_oracle_age(o, k, horizon):

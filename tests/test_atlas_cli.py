@@ -302,6 +302,20 @@ class TestCli:
         assert main(["verify-poset", str(claims)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "equality A B finite n<=0",
+        "monotone - - finite n<=-3",
+        "disconnected-ih IH equal-cliques finite n<=8",
+    ])
+    def test_claim_corpus_bound_out_of_range(self, line, tmp_path, capsys):
+        claims = tmp_path / "claims.txt"
+        claims.write_text(line + "\n")
+        assert main(["verify-poset", str(claims)]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.splitlines() == [
+            f"error: atlas size must be in 1..7, got {line.split('n<=')[1]}"]
+
     def test_verify_poset_small(self, tmp_path, capsys):
         claims = tmp_path / "claims.txt"
         claims.write_text(

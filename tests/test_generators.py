@@ -44,11 +44,11 @@ class TestBasicFamilies:
         assert all(induced_subgraph(g, c).is_complete() for c in comps)
 
     def test_composite_matching(self):
-        g = composite(OMEGA, 2, truncate=6)
+        g = oracle_truncate(composite(OMEGA, 2), 6)
         assert sorted(g.edges()) == [(0, 1), (2, 3), (4, 5)]
 
     def test_composite_diagonal_blocks(self):
-        g = composite(OMEGA, OMEGA, truncate=9)
+        g = oracle_truncate(composite(OMEGA, OMEGA), 9)
         # Cantor fibers within the window: {0,2,5}, {1,4,8}, {3,7}, {6}
         blocks = {}
         for v in range(9):
@@ -308,11 +308,6 @@ class TestDispatch:
             assert generate(name, params, truncate=100) == g
         with pytest.raises(GraphError, match="negative truncation size -1"):
             generate(name, params, truncate=-1)
-
-    @pytest.mark.parametrize("m, n", [(2, 3), (OMEGA, 2)])
-    def test_composite_rejects_a_negative_truncation(self, m, n):
-        with pytest.raises(GraphError, match="negative truncation size -1"):
-            composite(m, n, truncate=-1)
 
     def test_canonical_consistency(self):
         g1 = generate("knfree", ["3", "30"], seed=2)

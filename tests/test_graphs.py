@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
+from homext.engine import back_and_forth, decide_xy_bounded
 from homext.generators import complete, independent, rado_bit, rs_graph
 from homext.graphs import (
     FiniteGraph,
@@ -17,6 +18,7 @@ from homext.graphs import (
     oracle_truncate,
     relabel,
 )
+from homext.morphisms import EndoKind, MorphismKind, PartialMap
 
 C5 = FiniteGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 P3 = FiniteGraph.from_edges(3, [(0, 1), (1, 2)])
@@ -212,6 +214,16 @@ class TestOracleTruncate:
         bad = OracleGraph(lambda i, j: True, name="loops")
         with pytest.raises(GraphError):
             oracle_truncate(bad, 2)
+
+    def test_finite_graph_rejected_by_every_bounded_read(self):
+        g = complete(4)
+        for call in (
+            lambda: oracle_truncate(g, 3),
+            lambda: decide_xy_bounded(g, MorphismKind.ISOMORPHISM, EndoKind.I, k=1, horizon=4, depth=2),
+            lambda: back_and_forth(g, PartialMap(((0, 1),)), EndoKind.I, depth=2, horizon=4),
+        ):
+            with pytest.raises(GraphError, match="truncation reads an oracle graph, got FiniteGraph"):
+                call()
 
 
 def counted(adjacency):
