@@ -1,10 +1,11 @@
 """Outputs pinned byte for byte, recorded at commit e201631 (the property
 pins at 574c277, the verdict tables at b907c12, the structure-less property
-pin at 7cf6dcc).
+pin at 7cf6dcc, the atlas through n = 7 at 30c79f7).
 
-Each pin covers a path no other test reaches: the atlas bytes through n = 6,
-the full ``repr`` of the 18-verdict tables with their sharing of verdict objects,
-the built-in claims (bounded separations, the finite ``comp`` recipe and the
+Each pin covers a path no other test reaches: the atlas bytes through n = 6
+and through n = 7 (every class with its witnesses, stuck vertices and notes,
+E7 and K7 among them), the full ``repr`` of the 18-verdict tables with their
+sharing of verdict objects, the built-in claims (bounded separations, the finite ``comp`` recipe and the
 disconnected-IH check among them), both outcomes of an ``inclusion`` claim,
 the oracle branch of ``homext classify``, and every field of the four
 extension-property reports on finite graphs and oracles, with and without a
@@ -26,6 +27,7 @@ from homext.graphs import FiniteGraph, OracleGraph, canonical_form, relabel
 from conftest import random_graph
 
 ATLAS_6_SHA256 = "4c9404eed07bdc40714b3aa4cc4d9b04697fc09b090a839cab5277a0141beec2"
+ATLAS_7_SHA256 = "ad774dff1d43e1226f058a755a979e81d2d1b0bc5288eb912cc05b2ae64320d0"
 
 DEFAULT_CLAIM_LINES = """\
 PASS equality A B: 156 verdict pairs agree on n<=5
@@ -69,6 +71,12 @@ def test_atlas_through_six_vertices(tmp_path):
     out = tmp_path / "atlas.jsonl"
     assert main(["atlas", "--max-n", "6", "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ATLAS_6_SHA256
+
+
+def test_atlas_through_seven_vertices(tmp_path):
+    out = tmp_path / "atlas.jsonl"
+    assert main(["atlas", "--max-n", "7", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ATLAS_7_SHA256
 
 
 def test_default_claims(capsys):
