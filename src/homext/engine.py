@@ -8,21 +8,26 @@ an automorphism: I = M = E = B = A as extension targets.  One loop per
 graph over the stream of local maps (with their kinds, in (size, domain,
 values) order) asks two memoized backtracking extenders (H and A) about
 them, and stops once the first failure of each of the six (X, H or A) pairs
-is known.  The 18 verdicts are read off those: every entry starts as HOLDS,
-and each distinct failure fills the entries it stands for (H's: Y = H; A's:
-I, M, E, B, A) with one stuck vertex per step kind and one component note
-for the surjective Ys.  The extenders check forward: each unassigned
-vertex carries its candidate mask, every assignment narrows them, and a
-branch that empties one is refuted before it is entered.  For oracle graphs a sweep starts a back-and-forth schedule from each map of the
-same stream on the window's rows.  A schedule reads the bitset rows of one
-truncation, so a malformed (asymmetric or reflexive) oracle raises
-GraphError; a sweep runs each (map, step index) state once, and builds
+is known.  Since f extends to kind Y exactly when a f b^-1 does, for
+automorphisms a and b, each first failure is least in its Aut x Aut orbit, so
+from size two on the loop reads only lex-least domains of Aut-orbits and
+values least under the automorphisms fixing the ones before them (McKay's
+canonical augmentation); Aut comes from the same kernel.  The 18 verdicts are
+read off those: every entry starts as HOLDS, and each distinct failure fills
+the entries it stands for (H's: Y = H; A's: I, M, E, B, A) with one stuck
+vertex per step kind and one component note for the surjective Ys.  The
+extenders check forward: each unassigned vertex carries its candidate mask,
+every assignment narrows them, and a branch that empties one is refuted before
+it is entered.  For oracle graphs a sweep starts a back-and-forth schedule
+from each map of the same stream on the window's rows.  A schedule reads the
+bitset rows of one truncation, so a malformed (asymmetric or reflexive) oracle
+raises GraphError; a sweep runs each (map, step index) state once, and builds
 traces only for the certified witnesses it keeps.  Past the truncation the
-schedule asks the generator's declared structure for complete candidate
-lists only (the list half of the helper shared with the age layer), and the
-predicate only about the listed vertices.  A negative verdict is definite
-only when the stuck step's candidates are confined to such a list and every
-one fails, otherwise it is UnknownAtBound.
+schedule asks the generator's declared structure for complete candidate lists
+only (the list half of the helper shared with the age layer), and the
+predicate only about the listed vertices.  A negative verdict is definite only
+when the stuck step's candidates are confined to such a list and every one
+fails, otherwise it is UnknownAtBound.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .graphs import FiniteGraph, GraphError, OracleGraph, _bits, connected_components
@@ -399,6 +405,17 @@ _STANDS_FOR = {
 }
 
 
+def _automorphisms(g: FiniteGraph) -> list[tuple[int, ...]]:
+    """Every automorphism of ``g`` as its tuple of images, the identity first: the maps
+    grown vertex by vertex from :func:`_step_mask` at ISOMORPHISM among equal degrees."""
+    rows, maps, degrees = g.rows, [()], [row.bit_count() for row in g.rows]
+    same = [sum(1 << w for w, e in enumerate(degrees) if e == d) for d in degrees]
+    for v in range(g.n):
+        maps = [f + ((v, d),) for f in maps for d in _bits(
+            _step_mask(rows, f, v, "extension", MorphismKind.ISOMORPHISM, same[v]))]
+    return [tuple(d for _, d in f) for f in maps]
+
+
 def _first_failures(g: FiniteGraph) -> dict[tuple, tuple[PartialMap, MorphismKind, int]]:
     """The first non-extendable local morphism of kind at least ``x``, with its
     kind and domain mask, per ``x`` and ``y`` in H and A; a missing pair holds.
@@ -407,11 +424,27 @@ def _first_failures(g: FiniteGraph) -> dict[tuple, tuple[PartialMap, MorphismKin
     floor is the weakest ``x`` not yet settled for some ``y``; the loop stops
     once all six pairs are settled.  A map below ``y``'s required kind (a
     non-isomorphism for A) fails without a query.
+
+    Its failing maps are unions of Aut x Aut orbits, so from size two on (Aut is found
+    there) it visits only domains lex-least in their Aut-orbit, values as ``group`` keeps.
     """
     extenders = {y: _YExtender(g, y) for y in _FINITE_Y}
     lowest = dict.fromkeys(_FINITE_Y, MorphismKind.HOMOMORPHISM)  # weakest unsettled x
-    floor, failures = [MorphismKind.HOMOMORPHISM], {}
-    for pairs, dom_mask, kind in _local_maps(g.rows, all_subsets(range(g.n), g.n), floor):
+    floor, failures, group = [MorphismKind.HOMOMORPHISM], {}, []
+
+    def domains():
+        yield from combinations(range(g.n), 1)
+        auts = _automorphisms(g)[1:]
+        group.extend((sum(1 << v for v, av in enumerate(a) if av == v),
+                      sum(1 << v for v, av in enumerate(a) if av < v)) for a in auts)
+        for size in range(2, g.n + 1):
+            seen = set()  # the orbits of the domains yielded
+            for dom in combinations(range(g.n), size):
+                if sum(1 << v for v in dom) not in seen:
+                    seen.update(sum(1 << a[v] for v in dom) for a in auts)
+                    yield dom
+
+    for pairs, dom_mask, kind in _local_maps(g.rows, domains(), floor, group):
         for y in _FINITE_Y:
             lo = lowest[y]
             if kind < lo:
@@ -483,7 +516,8 @@ def classify_finite(g: FiniteGraph) -> MembershipVector:
     """All 18 verdicts at once, read off the six first failures (see
     :func:`_classified`).  A failure's witness is the first non-extendable map
     in (size, domain, images) order, so of minimal domain.  Size is capped at
-    :data:`DECIDE_CAP`: a pass that does not stop early walks every local map.
+    :data:`DECIDE_CAP`: a pass that does not stop early walks every local map
+    that can be least in its Aut x Aut orbit (see :func:`_first_failures`).
     """
     if g.n > DECIDE_CAP:
         raise GraphError(f"exact classification for n={g.n} exceeds cap {DECIDE_CAP}")

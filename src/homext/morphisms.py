@@ -226,16 +226,19 @@ def enumerate_local_morphisms(
     return (PartialMap(pairs) for pairs, _, _ in _local_maps(g.rows, domains, [x]))
 
 
-def _local_maps(rows, domains: Iterable[tuple[int, ...]], floor: list[int]):
+def _local_maps(rows, domains: Iterable[tuple[int, ...]], floor: list[int], group=()):
     """``(pairs, domain mask, kind)`` of the maps on ``rows`` of kind at least ``floor[0]``
     (reread at every position: the consumer may raise it between maps), domain by
     sorted domain of ``domains``, in order of values.  A map stays injective while each
     new value's bit is outside the image, and an isomorphism while it also avoids the
-    rows of the images of the non-neighbours."""
-    iso, full = MorphismKind.ISOMORPHISM, (1 << len(rows)) - 1
+    rows of the images of the non-neighbours.  ``group`` (reread at every domain)
+    lists automorphisms as ``(mask of the v with a[v] = v, mask of the v with a[v] < v)``;
+    a position keeps only the values least in their orbit under those fixing the values
+    before it, so of each orbit of value tuples at least its least member is yielded."""
+    iso, full, kinds = MorphismKind.ISOMORPHISM, (1 << len(rows)) - 1, tuple(MorphismKind)
 
-    def rec(dom, pairs, dom_mask: int, image: int, kind: MorphismKind):
-        # extends the prefix ``pairs`` of ``dom`` at its next vertex ``u``
+    def rec(dom, pairs, dom_mask: int, image: int, kind: MorphismKind, group):
+        # extends the prefix ``pairs`` of ``dom`` at its next vertex ``u``, fixed by ``group``
         u = dom[len(pairs)]
         last = len(pairs) + 1 == len(dom)
         blocked = 0  # values that break isomorphism: rows of non-neighbours' images
@@ -243,7 +246,9 @@ def _local_maps(rows, domains: Iterable[tuple[int, ...]], floor: list[int]):
             for q, fq in pairs:
                 if not rows[q] >> u & 1:
                     blocked |= rows[fq]
-        mask = _step_mask(rows, pairs, u, "extension", MorphismKind(floor[0]), full)
+        mask = _step_mask(rows, pairs, u, "extension", kinds[floor[0]], full)
+        for _, lower in group:
+            mask &= ~lower
         while mask:
             low = mask & -mask
             mask ^= low
@@ -255,10 +260,11 @@ def _local_maps(rows, domains: Iterable[tuple[int, ...]], floor: list[int]):
                 if last:
                     yield grown, dom_mask | 1 << u, new_kind
                 else:
-                    yield from rec(dom, grown, dom_mask | 1 << u, image | low, new_kind)
+                    fixing = [a for a in group if a[0] & low] if group else group
+                    yield from rec(dom, grown, dom_mask | 1 << u, image | low, new_kind, fixing)
 
     for dom in domains:
-        yield from rec(dom, (), 0, 0, iso)
+        yield from rec(dom, (), 0, 0, iso, group)
 
 
 def all_subsets(vertices: Iterable[int], max_size: int) -> Iterator[tuple[int, ...]]:
