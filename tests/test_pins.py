@@ -1,15 +1,18 @@
 """Outputs pinned byte for byte, recorded at commit e201631 (the property
 pins at 574c277, the verdict tables at b907c12, the structure-less property
-pin at 7cf6dcc, the atlas through n = 7 at 30c79f7).
+pin at 7cf6dcc, the atlas through n = 7 at 30c79f7, the generator rows and
+the Rado witnesses at c0dbe57).
 
 Each pin covers a path no other test reaches: the atlas bytes through n = 6
 and through n = 7 (every class with its witnesses, stuck vertices and notes,
 E7 and K7 among them), the full ``repr`` of the 18-verdict tables with their
 sharing of verdict objects, the built-in claims (bounded separations, the finite ``comp`` recipe and the
 disconnected-IH check among them), both outcomes of an ``inclusion`` claim,
-the oracle branch of ``homext classify``, and every field of the four
+the oracle branch of ``homext classify``, every field of the four
 extension-property reports on finite graphs and oracles, with and without a
-declared structure.
+declared structure, the rows of the staged generators (``knfree``,
+``h3prime``, ``radoplus``) and the cone/co-cone witnesses of both Rado
+structures on seeded vertex sets.
 """
 
 import hashlib
@@ -21,7 +24,16 @@ from homext.atlas import corpus_upto
 from homext.cli import main
 from homext.engine import classify_finite
 from homext.formats import to_graph6
-from homext.generators import OMEGA, composite, rado_plus_dominating_oracle, rs_graph
+from homext.generators import (
+    OMEGA,
+    composite,
+    h3_prime,
+    knfree_generic,
+    rado_bit,
+    rado_plus_dominating,
+    rado_plus_dominating_oracle,
+    rs_graph,
+)
 from homext.graphs import FiniteGraph, OracleGraph, canonical_form, relabel
 
 from conftest import random_graph
@@ -190,3 +202,40 @@ def table_lines():
 def test_verdict_tables():
     text = "\n".join(table_lines())
     assert hashlib.sha256(text.encode()).hexdigest() == TABLES_SHA256
+
+
+GENERATORS_SHA256 = "968992c12dd474cfdd8c39193221de7d3d7a01efc521e0ffc3cdf469082f78e8"
+
+
+def generator_lines():
+    """One line per build: its parameters and rows (and ``(u, v, w)`` for ``h3prime``)."""
+    for n, size, seed in [(3, 96, 7), (3, 64, 7), *((3, 20, s) for s in range(10)), (4, 30, 5)]:
+        yield f"knfree {n} {size} {seed} {knfree_generic(n, size, seed).rows}"
+    g, uvw = h3_prime(96, 7)
+    yield f"h3prime 96 7 {uvw} {g.rows}"
+    for n in range(2, 65):
+        yield f"radoplus {n} {rado_plus_dominating(n).rows}"
+
+
+def test_generator_rows():
+    text = "\n".join(generator_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATORS_SHA256
+
+
+WITNESSES_SHA256 = "55db1088f2edbf5b681b33917d875964154ea4064d6a864727060e453decdc94"
+
+
+def witness_lines():
+    """The four witnesses of ``rado`` and ``radoplus`` on 3,000 seeded sets of
+    0-6 vertices below 40 (so ``radoplus``'s dominating vertex 0 is often in)."""
+    rng = random.Random(22)
+    structures = (rado_bit().structure, rado_plus_dominating_oracle().structure)
+    for _ in range(3000):
+        s = frozenset(rng.sample(range(40), rng.randint(0, 6)))
+        yield f"{sorted(s)} " + " ".join(
+            f"{st.cone_witness(s)} {st.cocone_witness(s)}" for st in structures)
+
+
+def test_rado_witnesses():
+    text = "\n".join(witness_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == WITNESSES_SHA256
