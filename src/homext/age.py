@@ -212,21 +212,25 @@ def _age_table(
 def age_report(entries: list[AgeEntry]) -> str:
     """Entry lines followed by the definite breaks of the closure laws, if any."""
     lines = [e.report_line() for e in entries]
-    yes, no = Flag.YES, Flag.NO
-    for a in entries:
-        for b in entries:
-            if a is b:
-                continue
-            if a.kk is yes and b.kk is no and _related(a, b, order_preceq, upward=True):
-                lines.append(f"violation: coned {a.graph6} maps onto cone-free {b.graph6}")
-            if a.hh is yes and b.hh is no and _related(a, b, order_preceq, upward=False):
-                lines.append(f"violation: cocone-free {b.graph6} maps onto coconed {a.graph6}")
+    laws = (("kk", order_preceq, True), ("hh", order_preceq, False))
+    for a, b, (attr, _, _) in _breaks(entries, laws, (Flag.NO,)):
+        lines.append(f"violation: coned {a.graph6} maps onto cone-free {b.graph6}" if attr == "kk"
+                     else f"violation: cocone-free {b.graph6} maps onto coconed {a.graph6}")
     return "\n".join(lines)
 
 
-def _related(a: AgeEntry, b: AgeEntry, order, *, upward: bool) -> bool:
-    """``a`` below ``b`` in ``order`` (upward), or above it."""
-    return order(a.graph, b.graph) if upward else order(b.graph, a.graph)
+def _breaks(entries: list[AgeEntry], laws, flags):
+    """``(a, b, law)``, in that order, for each Yes entry ``a`` that is related under a
+    closure law ``(attr, order, upward)`` to an entry ``b`` whose flag is in ``flags``:
+    ``a`` below ``b`` in ``order`` (upward) or above it.  The order is asked only
+    about such pairs."""
+    for a in entries:
+        for b in entries:
+            for law in laws:
+                attr, order, upward = law
+                if getattr(a, attr) is Flag.YES and getattr(b, attr) in flags and (
+                        order(a.graph, b.graph) if upward else order(b.graph, a.graph)):
+                    yield a, b, law
 
 
 def order_preceq(a: FiniteGraph, b: FiniteGraph) -> bool:
@@ -311,24 +315,14 @@ def _closure_condition(
     either side leave the condition undecided at this bound; a Yes entry on
     the other side cannot break the law, so the order is not asked about it.
     """
-    unknown = False
-    for a in entries:
-        fa = getattr(a, attr)
-        if fa is Flag.UNKNOWN:
-            unknown = True
-        if fa is not Flag.YES:
-            continue
-        for b in entries:
-            fb = getattr(b, attr)
-            if fb is Flag.YES or not _related(a, b, order, upward=upward):
-                continue
-            if fb is Flag.NO:
-                return Verdict(
-                    Status.FAILS,
-                    note=f"{label}: {a.graph6} yes but {'above' if not upward else 'below'}-related {b.graph6} no",
-                )
-            if fb is Flag.UNKNOWN:
-                unknown = True
+    unknown = any(getattr(e, attr) is Flag.UNKNOWN for e in entries)
+    for a, b, _ in _breaks(entries, ((attr, order, upward),), (Flag.NO, Flag.UNKNOWN)):
+        if getattr(b, attr) is Flag.NO:
+            return Verdict(
+                Status.FAILS,
+                note=f"{label}: {a.graph6} yes but {'above' if not upward else 'below'}-related {b.graph6} no",
+            )
+        unknown = True
     return Verdict(Status.UNKNOWN if unknown else Status.HOLDS)
 
 

@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .graphs import FiniteGraph, GraphError, OracleGraph, _bits, connected_components
 from .graphs import oracle_truncate
@@ -112,11 +113,15 @@ class Verdict:
 _RANK = {Status.HOLDS: 2, Status.UNKNOWN: 1, Status.FAILS: 0}
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class MembershipVector:
-    """One verdict per (X, Y) pair of the 18 morphism-extension classes."""
+    """One verdict per (X, Y) pair of the 18 morphism-extension classes; the exact
+    vectors are cached and shared, so :func:`_classified` makes ``entries`` read-only."""
 
-    entries: dict[tuple[MorphismKind, EndoKind], Verdict]
+    entries: Mapping[tuple[MorphismKind, EndoKind], Verdict]
+
+    def __repr__(self) -> str:
+        return f"MembershipVector(entries={dict(self.entries)!r})"
 
     def get(self, code: str) -> Verdict:
         """Look up by a two-letter code such as ``"MB"``."""
@@ -202,6 +207,14 @@ def one_step_preimage(
 # Exact finite decisions
 
 
+def _finite(g) -> FiniteGraph:
+    """``g`` itself when it is finite; an oracle takes the bounded path instead."""
+    if not isinstance(g, FiniteGraph):
+        raise GraphError(f"exact decisions read a finite graph, got {type(g).__name__}; "
+                         "an oracle takes the bounded path (decide_xy_bounded)")
+    return g
+
+
 def extend_finite(g: FiniteGraph, f: PartialMap, y: EndoKind) -> tuple[int, ...] | None:
     """A total endomorphism of kind ``y`` extending ``f``, or ``None``.
 
@@ -212,7 +225,7 @@ def extend_finite(g: FiniteGraph, f: PartialMap, y: EndoKind) -> tuple[int, ...]
     vertex is assigned first, candidate values in ascending order.  ``None``
     is an absence proof by exhaustion.
     """
-    n = g.n
+    n = _finite(g).n
     rows = g.rows
     kind = MorphismKind.ISOMORPHISM if y.needs_surjective else y.required_kind
     if classify_map(g, f) < kind:  # raises on a pair out of range
@@ -503,7 +516,7 @@ def _classified(g: FiniteGraph) -> MembershipVector:
                 verdicts.append((y, v))
         for y, v in verdicts:
             entries[x, y] = v
-    return MembershipVector(entries)
+    return MembershipVector(MappingProxyType(entries))
 
 
 def decide_xy_finite(g: FiniteGraph, x: MorphismKind, y: EndoKind) -> Verdict:
@@ -519,7 +532,7 @@ def classify_finite(g: FiniteGraph) -> MembershipVector:
     :data:`DECIDE_CAP`: a pass that does not stop early walks every local map
     that can be least in its Aut x Aut orbit (see :func:`_first_failures`).
     """
-    if g.n > DECIDE_CAP:
+    if _finite(g).n > DECIDE_CAP:
         raise GraphError(f"exact classification for n={g.n} exceeds cap {DECIDE_CAP}")
     return _classified(g)
 

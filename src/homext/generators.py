@@ -30,11 +30,12 @@ from .graphs import (
     FiniteGraph,
     GraphError,
     OracleGraph,
-    VERTEX_CAP,
+    _bits,
     induced_subgraph,
     lex_product,
     max_clique_size,
     oracle_truncate,
+    relabel,
 )
 
 OMEGA = "omega"
@@ -232,18 +233,24 @@ def rs_graph(n: int) -> OracleGraph:
     return OracleGraph(adjacency, name=f"rs({n})", structure=RSStructure(n))
 
 
+def _bit_cone(hset: Iterable[int]) -> int:
+    """The BIT vertex whose bits are ``hset``, a cone over it (1 over nothing)."""
+    return sum(1 << h for h in hset) or 1
+
+
+def _bit_cocone(hset: Iterable[int]) -> int:
+    """The BIT vertex ``2^(max + 1)``, adjacent to nothing below it (2 over nothing)."""
+    return 1 << (max(hset, default=0) + 1)
+
+
 class RadoBitStructure(GraphStructure):
     """BIT presentation: any finite positive/negative adjacency demand is realizable."""
 
     def cone_witness(self, hset: frozenset[int]) -> int | None:
-        v = 0
-        for h in hset:
-            v |= 1 << h
-        return v if v else 1  # over the empty set any vertex will do
+        return _bit_cone(hset)
 
     def cocone_witness(self, hset: frozenset[int]) -> int | None:
-        top = max(hset) if hset else 0
-        return 1 << (top + 1)
+        return _bit_cocone(hset)
 
 
 def rado_bit() -> OracleGraph:
@@ -260,18 +267,15 @@ def rado_bit() -> OracleGraph:
 
 @dataclass(frozen=True)
 class DominatedRadoStructure(GraphStructure):
-    """BIT graph shifted up by one plus the dominating vertex 0."""
+    """BIT graph shifted up by one plus the dominating vertex 0; a witness is the
+    BIT one over the set shifted down, shifted back up."""
 
     def cone_witness(self, hset: frozenset[int]) -> int | None:
-        if 0 not in hset:
-            return 0
-        # the BIT witness over the shifted set, shifted back
-        return (sum(1 << (h - 1) for h in hset if h > 0) or 1) + 1
+        return _bit_cone(h - 1 for h in hset if h) + 1 if 0 in hset else 0
 
     def cocone_witness(self, hset: frozenset[int]) -> int | None:
-        if 0 in hset:
-            return None  # nothing avoids the dominating vertex
-        return (1 << max(hset, default=1)) + 1
+        # nothing avoids the dominating vertex
+        return None if 0 in hset else _bit_cocone(h - 1 for h in hset) + 1
 
     def cocone_candidates(self, wset: frozenset[int]) -> list[int] | None:
         if 0 in wset:
@@ -280,13 +284,11 @@ class DominatedRadoStructure(GraphStructure):
 
 
 def rado_plus_dominating(n: int) -> FiniteGraph:
-    """BIT truncation on ``n - 1`` vertices plus a dominating vertex ``n - 1``."""
+    """BIT truncation on ``n - 1`` vertices plus a dominating vertex ``n - 1``: the
+    oracle's prefix on ``n`` vertices with its vertex 0 moved last."""
     if n < 2:
         raise GraphError(f"radoplus requires n >= 2, got {n}")
-    base = oracle_truncate(rado_bit(), n - 1)
-    w = n - 1
-    edges = list(base.edges()) + [(v, w) for v in range(w)]
-    return FiniteGraph.from_edges(n, edges, cap=max(n, VERTEX_CAP))
+    return relabel(oracle_truncate(rado_plus_dominating_oracle(), n), [n - 1, *range(n - 1)])
 
 
 def rado_plus_dominating_oracle() -> OracleGraph:
@@ -324,9 +326,10 @@ def knfree_generic(n: int, size: int, seed: int = 0) -> FiniteGraph:
     subsets of the early vertices with ``A`` free of cliques on ``n - 1``
     vertices -- are served in increasing order of ``|A| + |B|`` with a seeded
     shuffle among ties: each unwitnessed request gets a fresh vertex adjacent
-    exactly to ``A``.  Once every small request is witnessed the schedule
-    restarts against the grown graph.  The output is verified ``K_n``-free
-    before returning.
+    exactly to ``A``.  A request's witnesses are one AND of rows: ``rows[a]`` for
+    ``a`` in ``A``, the complement of ``rows[b]`` without ``b`` for ``b`` in ``B``.
+    Once every small request is witnessed the schedule restarts against the
+    grown graph.  The output is verified ``K_n``-free before returning.
     """
     if n < 3:
         raise GraphError(f"knfree requires n >= 3, got {n}")
@@ -334,24 +337,6 @@ def knfree_generic(n: int, size: int, seed: int = 0) -> FiniteGraph:
         raise GraphError(f"truncation size must be positive, got {size}")
     rng = random.Random(seed)
     rows: list[int] = [0]
-
-    def witnessed(aset: tuple[int, ...], bset: tuple[int, ...]) -> bool:
-        members = set(aset) | set(bset)
-        for v, mask in enumerate(rows):
-            if v in members:
-                continue
-            if all(mask >> a & 1 for a in aset) and not any(mask >> b & 1 for b in bset):
-                return True
-        return False
-
-    def add_vertex(aset: tuple[int, ...]) -> None:
-        v = len(rows)
-        mask = 0
-        for a in aset:
-            mask |= 1 << a
-            rows[a] |= 1 << v
-        rows.append(mask)
-
     while len(rows) < size:
         grew = False
         for total in range(_REQUEST_TOTAL_MAX + 1):
@@ -366,12 +351,17 @@ def knfree_generic(n: int, size: int, seed: int = 0) -> FiniteGraph:
             for aset, bset in requests:
                 if len(rows) >= size:
                     break
-                current = FiniteGraph(len(rows), tuple(rows))
-                if aset and not is_clique_free(induced_subgraph(current, aset), n - 1):
+                witnesses = (1 << len(rows)) - 1
+                for a in aset:
+                    witnesses &= rows[a]
+                for b in bset:
+                    witnesses &= ~rows[b] & ~(1 << b)
+                if witnesses or aset and not is_clique_free(
+                        induced_subgraph(FiniteGraph(len(rows), tuple(rows)), aset), n - 1):
                     continue
-                if witnessed(aset, bset):
-                    continue
-                add_vertex(aset)
+                for a in aset:
+                    rows[a] |= 1 << len(rows)
+                rows.append(sum(1 << a for a in aset))
                 grew = True
             if len(rows) >= size:
                 break
@@ -392,29 +382,21 @@ def h3_prime(size: int, seed: int = 0) -> tuple[FiniteGraph, tuple[int, int, int
     edges from the first class to ``v`` and from the second class to ``u``.
     Returns the surgered graph together with ``(u, v, w)``.
     """
-    g = knfree_generic(3, size, seed)
-    best: tuple[int, int, int] | None = None  # (-count, u, v)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.adj(u, v):
-                continue
-            count = (g.rows[u] & g.rows[v]).bit_count()
-            key = (-count, u, v)
-            if best is None or key < best:
-                best = key
+    rows = list(knfree_generic(3, size, seed).rows)
+    best = min(((-(rows[u] & rows[v]).bit_count(), u, v)
+                for u, v in itertools.combinations(range(size), 2) if not rows[u] >> v & 1),
+               default=None)
     if best is None or -best[0] < 3:
         raise GraphError(
             f"no nonedge with 3 common neighbors at size {size}; increase the size"
         )
     _, u, v = best
-    common = [c for c in range(g.n) if g.adj(u, c) and g.adj(v, c)]
-    w = common[0]
-    to_u, to_v = [], []  # classes staying attached to u resp. v
-    for idx, c in enumerate(common[1:]):
-        (to_u if idx % 2 == 0 else to_v).append(c)
-    drop = {(min(x, v), max(x, v)) for x in to_u} | {(min(x, u), max(x, u)) for x in to_v}
-    edges = [e for e in g.edges() if e not in drop]
-    return FiniteGraph.from_edges(g.n, edges, cap=g.n), (u, v, w)
+    w, *rest = _bits(rows[u] & rows[v])
+    for idx, x in enumerate(rest):
+        cut = v if idx % 2 == 0 else u  # the even ones stay attached to u, the odd to v
+        rows[x] &= ~(1 << cut)
+        rows[cut] &= ~(1 << x)
+    return FiniteGraph(size, tuple(rows)), (u, v, w)
 
 
 def generate(name: str, params: Iterable[object], *, truncate: int | None = None, seed: int = 0):

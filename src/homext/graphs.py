@@ -127,7 +127,8 @@ class OracleGraph:
 
 
 def induced_subgraph(g: FiniteGraph, s: Sequence[int]) -> FiniteGraph:
-    """Subgraph induced on the vertex set ``s``; vertex ``i`` of the result is ``s[i]``."""
+    """Subgraph induced on the vertex set ``s``; vertex ``i`` of the result is the
+    ``i``-th smallest vertex of ``s`` (unordered input is sorted first, see :func:`vertex_set`)."""
     vs = vertex_set(s)
     if vs and vs[-1] >= g.n:
         raise GraphError(f"vertex {vs[-1]} out of range for n={g.n}")

@@ -331,3 +331,33 @@ class TestCli:
         claims = tmp_path / "claims.txt"
         claims.write_text("bottom-echo HH complete finite n<=2\n")
         assert main(["verify-poset", str(claims)]) == 1
+
+    @pytest.mark.parametrize("line, code, out, err", [
+        ("separation - MB bounded rs 3 k=3", 0,
+         "PASS separation - MB: MB fails (0->1,1->4,3->0; preimage of 2 confined to co-cones "
+         "over [0, 3] = [0, 1, 2]; exhausted)\n1/1 claims passed\n", ""),
+        ("separation MB MM bounded rs 3 k=3", 1,
+         "FAIL separation MB MM: MM did not fail with certificate\n0/1 claims passed\n", ""),
+        ("separation MB MB bounded rs 3 k=3", 1,
+         "FAIL separation MB MB: MB also failed definitively\n0/1 claims passed\n", ""),
+        ("separation IH IM finite k 3", 1,
+         "FAIL separation IH IM: no finite separation recipe for generator 'k'\n"
+         "0/1 claims passed\n", ""),
+        ("bottom-echo MA complete finite n<=3", 1,
+         "FAIL bottom-echo MA complete: n2g000 holds MA but is not complete\n"
+         "0/1 claims passed\n", ""),
+        ("separation MM MB bounded k 3", 2, "", "error: no oracle presentation for 'k 3'\n"),
+        ("a b", 2, "", "error: claim line too short: 'a b'\n"),
+        ("equality A B", 2, "", "error: claim 'equality' needs scope 'finite': 'equality A B'\n"),
+        ("separation MM MB exact rs 3", 2, "",
+         "error: separation needs scope finite|bounded: 'separation MM MB exact rs 3'\n"),
+        ("frobnicate A B finite n<=3", 2, "", "error: unknown claim kind 'frobnicate'\n"),
+        ("equality A B finite", 2, "", "error: missing n<=K bound in ()\n"),
+    ])
+    def test_claim_outcomes(self, line, code, out, err, tmp_path, capsys):
+        # the pass without an X side, both ways a separation fails, a finite
+        # recipe missing, a failing bottom echo, and each malformed-line message
+        claims = tmp_path / "claims.txt"
+        claims.write_text(line + "\n")
+        assert main(["verify-poset", str(claims)]) == code
+        assert capsys.readouterr() == (out, err)

@@ -282,6 +282,25 @@ class TestDecideFinite:
         v = decide_xy_finite(P3, M, EndoKind.H)
         assert v.report_line(M, EndoKind.H) == "FAIL X=M Y=H map=0->0,2->1 stuck=1"
 
+    def test_cached_vector_is_read_only(self):
+        # the vector is shared by every later call on an equal graph
+        mv = classify_finite(complete(3))
+        with pytest.raises(TypeError):
+            mv.entries[(I, EndoKind.H)] = decide_xy_finite(P3, M, EndoKind.H)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mv.entries = {}
+        assert classify_finite(complete(3)).get("IH").holds
+        assert decide_xy_finite(complete(3), I, EndoKind.H).holds
+
+    @pytest.mark.parametrize("call", [
+        lambda o: classify_finite(o),
+        lambda o: decide_xy_finite(o, I, EndoKind.H),
+        lambda o: extend_finite(o, PartialMap(((0, 1),)), EndoKind.A),
+    ], ids=["classify", "decide", "extend"])
+    def test_oracle_names_the_bounded_path(self, call):
+        with pytest.raises(GraphError, match="got OracleGraph; .*decide_xy_bounded"):
+            call(rs_graph(3))
+
 
 class TestFiniteLaws:
     def test_y_collapse_small(self, corpus4):

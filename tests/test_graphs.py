@@ -71,6 +71,16 @@ class TestInducedSubgraph:
         with pytest.raises(GraphError):
             induced_subgraph(P3, (0, 3))
 
+    def test_unordered_input_is_sorted_first(self):
+        # vertex i of the result is the i-th smallest of s, not s[i]
+        g = FiniteGraph.from_edges(3, [(0, 1)])
+        assert list(induced_subgraph(g, [2, 0, 1]).edges()) == [(0, 1)]
+
+    @pytest.mark.parametrize("s", [[1, 1], [0, 2, 0], (2, 1, 2)])
+    def test_repeated_vertices_raise(self, s):
+        with pytest.raises(GraphError, match="duplicate vertices"):
+            induced_subgraph(P3, s)
+
 
 class TestComplement:
     def test_complete_to_empty(self):
