@@ -1,7 +1,7 @@
 """Outputs pinned byte for byte, recorded at commit e201631 (the property
 pins at 574c277, the verdict tables at b907c12, the structure-less property
 pin at 7cf6dcc, the atlas through n = 7 at 30c79f7, the generator rows and
-the Rado witnesses at c0dbe57).
+the Rado witnesses at c0dbe57, the ``extend_finite`` totals at 1ba978d).
 
 Each pin covers a path no other test reaches: the atlas bytes through n = 6
 and through n = 7 (every class with its witnesses, stuck vertices and notes,
@@ -11,8 +11,9 @@ disconnected-IH check among them), both outcomes of an ``inclusion`` claim,
 the oracle branch of ``homext classify``, every field of the four
 extension-property reports on finite graphs and oracles, with and without a
 declared structure, the rows of the staged generators (``knfree``,
-``h3prime``, ``radoplus``) and the cone/co-cone witnesses of both Rado
-structures on seeded vertex sets.
+``h3prime``, ``radoplus``), the cone/co-cone witnesses of both Rado
+structures on seeded vertex sets and the total maps ``extend_finite`` returns
+on seeded two-vertex maps of the desk-scale graphs.
 """
 
 import hashlib
@@ -22,7 +23,7 @@ import random
 from homext.age import PROPERTY_NAMES, check_property
 from homext.atlas import corpus_upto
 from homext.cli import main
-from homext.engine import classify_finite
+from homext.engine import classify_finite, extend_finite
 from homext.formats import to_graph6
 from homext.generators import (
     OMEGA,
@@ -35,6 +36,7 @@ from homext.generators import (
     rs_graph,
 )
 from homext.graphs import FiniteGraph, OracleGraph, canonical_form, relabel
+from homext.morphisms import X_KINDS, Y_KINDS, EndoKind, MorphismKind, PartialMap, classify_map
 
 from conftest import random_graph
 
@@ -239,3 +241,42 @@ def witness_lines():
 def test_rado_witnesses():
     text = "\n".join(witness_lines())
     assert hashlib.sha256(text.encode()).hexdigest() == WITNESSES_SHA256
+
+
+EXTENSIONS_SHA256 = "88e6d599e1d412523df41af8b820673c28cbeb7aa284722b40cb6d912f70f32a"
+
+
+def extension_lines():
+    """One line per ``extend_finite`` query: the graph, the map and each Y's total
+    (or ``None``).  Four seeded two-vertex maps of each exact kind on each graph,
+    each asked for all six Y, except the monomorphisms of ``comp(4,10)``; then one
+    of those, which sends a nonedge across components onto an edge, asked for M."""
+    rng = random.Random(23)
+    graphs = {"h3prime": h3_prime(96, 7)[0], "knfree": knfree_generic(3, 64, 7),
+              "radoplus": rado_plus_dominating(48), "comp4_10": composite(4, 10),
+              "comp6_6": composite(6, 6)}
+
+    def draw(g, x):
+        while True:
+            dom, img = rng.sample(range(g.n), 2), rng.sample(range(g.n), 2)
+            if x is MorphismKind.HOMOMORPHISM:
+                img[1] = img[0]
+            f = PartialMap.from_pairs(zip(dom, img))
+            if classify_map(g, f) is x:
+                return f
+
+    for label, g in graphs.items():
+        for _ in range(4):
+            for x in X_KINDS:
+                if (label, x) != ("comp4_10", MorphismKind.MONOMORPHISM):
+                    f = draw(g, x)
+                    for y in Y_KINDS:
+                        yield f"{label} {f.serialize()} {y.value} {extend_finite(g, f, y)}"
+    g = graphs["comp4_10"]
+    f = draw(g, MorphismKind.MONOMORPHISM)
+    yield f"comp4_10 {f.serialize()} M {extend_finite(g, f, EndoKind.M)}"
+
+
+def test_extend_finite_totals():
+    text = "\n".join(extension_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == EXTENSIONS_SHA256
