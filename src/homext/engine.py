@@ -4,30 +4,32 @@ A graph is XY-homogeneous when every local morphism of kind X extends to a
 total endomorphism of kind Y.  For finite graphs the decision is exact.  On
 a finite graph an injective or surjective endomorphism is bijective, and a
 bijective homomorphism maps the finitely many edges onto the edges, so it is
-an automorphism: I = M = E = B = A as extension targets.  One loop per
-graph over the stream of local maps (with their kinds, in (size, domain,
-values) order) asks two memoized backtracking extenders (H and A) about
+an automorphism: I = M = E = B = A as extension targets.  One loop per graph
+over the stream of local maps (with their kinds, in (size, domain, values)
+order) asks the extension search at step kinds H and A (one memo each) about
 them, and stops once the first failure of each of the six (X, H or A) pairs
 is known.  Since f extends to kind Y exactly when a f b^-1 does, for
-automorphisms a and b, each first failure is least in its Aut x Aut orbit, so
-from size two on the loop reads only lex-least domains of Aut-orbits and
+automorphisms a and b, each first failure is least in its Aut x Aut orbit,
+so from size two on the loop reads only lex-least domains of Aut-orbits and
 values least under the automorphisms fixing the ones before them (McKay's
-canonical augmentation); Aut comes from the same kernel.  The 18 verdicts are
-read off those: every entry starts as HOLDS, and each distinct failure fills
-the entries it stands for (H's: Y = H; A's: I, M, E, B, A) with one stuck
-vertex per step kind and one component note for the surjective Ys.  The
-extenders check forward: each unassigned vertex carries its candidate mask,
-every assignment narrows them, and a branch that empties one is refuted before
-it is entered.  For oracle graphs a sweep starts a back-and-forth schedule
-from each map of the same stream on the window's rows.  A schedule reads the
-bitset rows of one truncation, so a malformed (asymmetric or reflexive) oracle
-raises GraphError; a sweep runs each (map, step index) state once, and builds
-traces only for the certified witnesses it keeps.  Past the truncation the
-schedule asks the generator's declared structure for complete candidate lists
-only (the list half of the helper shared with the age layer), and the
-predicate only about the listed vertices.  A negative verdict is definite only
-when the stuck step's candidates are confined to such a list and every one
-fails, otherwise it is UnknownAtBound.
+canonical augmentation); Aut comes from the same kernel.  The 18 verdicts
+are read off those: every entry starts as HOLDS, and each distinct failure
+fills the entries it stands for (H's: Y = H; A's: I, M, E, B, A) with one
+stuck vertex per step kind and one component note for the surjective Ys.
+The same search, without a memo, answers :func:`extend_finite`.  It checks
+forward: each unassigned vertex carries its candidate mask, every assignment
+narrows them, a branch that empties one is refuted before it is entered, and
+the most-constrained vertex is assigned next.  For oracle graphs a sweep
+starts a back-and-forth schedule from each map of the same stream on the
+window's rows.  A schedule reads the bitset rows of one truncation, so a
+malformed (asymmetric or reflexive) oracle raises GraphError; a sweep runs
+each (map, step index) state once, and builds traces only for the certified
+witnesses it keeps.  Past the truncation the schedule asks the generator's
+declared structure for complete candidate lists only (the list half of the
+helper shared with the age layer), and the predicate only about the listed
+vertices.  A negative verdict is definite only when the stuck step's
+candidates are confined to such a list and every one fails, otherwise it is
+UnknownAtBound.
 """
 
 from __future__ import annotations
@@ -219,73 +221,17 @@ def extend_finite(g: FiniteGraph, f: PartialMap, y: EndoKind) -> tuple[int, ...]
     """A total endomorphism of kind ``y`` extending ``f``, or ``None``.
 
     E, B and A all search as A (a surjective endomorphism of a finite graph
-    is an automorphism), so no surjectivity prune is needed.  Backtracking
-    over the unassigned vertices with forward checking: each vertex keeps a
-    candidate bitmask, narrowed by every assignment; the most-constrained
-    vertex is assigned first, candidate values in ascending order.  ``None``
-    is an absence proof by exhaustion.
+    is an automorphism), so no surjectivity prune is needed.  The search is
+    :func:`_extension` without a memo: the most-constrained unassigned vertex
+    first, candidate values in ascending order.  ``None`` is an absence proof
+    by exhaustion.
     """
     n = _finite(g).n
-    rows = g.rows
     kind = MorphismKind.ISOMORPHISM if y.needs_surjective else y.required_kind
     if classify_map(g, f) < kind:  # raises on a pair out of range
         return None
-
-    assign: list[int] = [-1] * n
-    for s, t in f.pairs:
-        assign[s] = t
-    full = (1 << n) - 1
-
-    def narrowed(cands: list[int], v: int, d: int) -> list[int] | None:
-        # the one-pair rule of _step_mask for the new pair (v, d)
-        adj = rows[d]
-        if kind is MorphismKind.ISOMORPHISM:
-            non = ~(adj | 1 << d)
-        elif kind is MorphismKind.MONOMORPHISM:
-            non = ~(1 << d)
-        else:
-            non = -1
-        out = list(cands)
-        for x in range(n):
-            if assign[x] >= 0 or x == v:
-                continue
-            mask = out[x] & (adj if rows[x] >> v & 1 else non)
-            if mask == 0:
-                return None
-            out[x] = mask
-        return out
-
-    def search(cands: list[int]) -> bool:
-        best_v = -1
-        best_count = n + 1
-        for v in range(n):
-            if assign[v] < 0:
-                c = cands[v].bit_count()
-                if c < best_count:
-                    best_v, best_count = v, c
-        if best_v < 0:
-            return True
-        mask = cands[best_v]
-        while mask:
-            low = mask & -mask
-            d = low.bit_length() - 1
-            mask ^= low
-            assign[best_v] = d
-            nxt = narrowed(cands, best_v, d)
-            if nxt is not None and search(nxt):
-                return True
-            assign[best_v] = -1
-        return False
-
-    cands = [
-        1 << assign[v] if assign[v] >= 0
-        else _step_mask(rows, f.pairs, v, "extension", kind, full)
-        for v in range(n)
-    ]
-    if 0 in cands or not search(cands):
-        return None
-    total = tuple(assign)
-    if y.needs_surjective:
+    total = _extension(g.rows, f.pairs, kind)
+    if total is not None and y.needs_surjective:
         assert len(set(total)) == n
     return total
 
@@ -303,90 +249,76 @@ def total_endo_kinds(g: FiniteGraph, total: Iterable[int]) -> set[EndoKind]:
     }
 
 
-class _YExtender:
-    """Memoized extendability of local morphisms to total endomorphisms of kind ``y``.
+def _extension(rows, pairs, kind: MorphismKind,
+               memo: dict | None = None) -> tuple[int, ...] | None:
+    """A total map extending ``pairs`` (of kind ``kind``) whose every restriction has kind
+    ``kind``, as its tuple of images, or ``None`` when there is none.
 
-    Only H and A are built: on a finite graph an injective or surjective
-    endomorphism is bijective, and a bijective homomorphism maps the finitely
-    many edges onto the edges, so it is an automorphism (I = M = E = B = A as
-    extension targets).  The recursion always assigns the least unassigned
-    vertex, so memo entries are shared between queries whose domains overlap
-    on prefixes.  Keys are the sorted pairs of the map; a map's
-    extendability is a property of the map alone, so the cache is sound
-    across queries.  Queried maps must already have kind ``y.required_kind``.
-
-    Forward checking: every unassigned vertex carries its candidate mask, one
-    :func:`_step_mask` at ``y.required_kind`` when a query starts, and each
-    assignment ``v -> d`` narrows the masks by the one-pair rule of
-    :func:`_step_mask` (H: the neighbours of ``v``, ``& rows[d]``; A: also
-    the non-neighbours, ``& ~(rows[d] | 1 << d)``).  A branch that leaves
-    some vertex without a candidate is refuted before it is entered, and a
-    branch with one unassigned vertex left extends by any of its candidates.
-    The masks are those of :func:`_step_mask` on the branch's map, so the
-    memo keeps meaning the map alone.
+    Backtracking with forward checking: every unassigned vertex carries its candidate
+    mask, one :func:`_step_mask` when the search starts, and each assignment ``v -> d``
+    narrows the masks by the one-pair rule of :func:`_step_mask` (the neighbours of ``v``
+    ``& rows[d]``; the non-neighbours ``& ~(1 << d)`` at MONOMORPHISM and
+    ``& ~(rows[d] | 1 << d)`` at ISOMORPHISM).  A branch that leaves some vertex without
+    a candidate is refuted before it is entered.  The narrowing pass also picks the next
+    vertex: the most-constrained one, the least on ties; values go in ascending order.
+    The masks, and so the vertex order, depend on the map alone, so one search never
+    meets a map twice, and a ``memo`` shared across searches maps each map reached,
+    packed into one integer as in :func:`_schedule`, to its answer (a total or ``None``).
     """
+    n, width = len(rows), len(rows).bit_length()
+    assign, state = [-1] * n, 0
+    for u, fu in pairs:
+        assign[u] = fu
+        state |= fu + 1 << u * width
+    if memo is not None and state in memo:
+        return memo[state]
+    iso, mono = kind is MorphismKind.ISOMORPHISM, kind >= MorphismKind.MONOMORPHISM
 
-    def __init__(self, g: FiniteGraph, y: EndoKind):
-        assert y in (EndoKind.H, EndoKind.A)
-        self.rows = g.rows
-        self.full = (1 << g.n) - 1
-        self.kind = y.required_kind
-        self.h = y is EndoKind.H
-        self.memo: dict[tuple[tuple[int, int], ...], bool] = {}
-
-    def extends(self, dom_mask: int, pairs: tuple[tuple[int, int], ...]) -> bool:
-        hit = self.memo.get(pairs)
-        if hit is None:
-            rows, kind, full = self.rows, self.kind, self.full
-            cands = [0] * len(rows)
-            free = full & ~dom_mask
-            while free:
-                low = free & -free
-                free ^= low
-                v = low.bit_length() - 1
-                cands[v] = mask = _step_mask(rows, pairs, v, "extension", kind, full)
-                if not mask:
-                    self.memo[pairs] = False
-                    return False
-            hit = self._search(dom_mask, pairs, cands)
-        return hit
-
-    def _search(self, dom_mask: int, pairs: tuple[tuple[int, int], ...], cands: list[int]) -> bool:
-        # pairs is not in the memo, and every unassigned vertex has a candidate
-        rows, memo = self.rows, self.memo
-        free = self.full & ~dom_mask
-        result = not free & (free - 1)  # a lone free vertex takes any of its candidates
-        if not result:
-            v = (free & -free).bit_length() - 1  # least unassigned vertex
-            rest = free ^ 1 << v
-            adjacent = rows[v]
-            narrow = adjacent & rest if self.h else rest
-            at = (dom_mask & ((1 << v) - 1)).bit_count()
-            head, tail = pairs[:at], pairs[at:]
-            mask = cands[v]
-            while mask and not result:
-                low = mask & -mask
-                mask ^= low
-                d = low.bit_length() - 1
-                child = head + ((v, d),) + tail
-                result = memo.get(child)
-                if result is None:
-                    row = rows[d]
-                    non = ~(row | low)
-                    nxt = cands[:] if narrow else cands  # a list passed down is never changed
-                    todo = narrow
-                    while todo:
-                        bit = todo & -todo
-                        todo ^= bit
-                        x = bit.bit_length() - 1
-                        nxt[x] = m = nxt[x] & (row if adjacent & bit else non)
-                        if not m:
-                            result = False  # a vertex without candidates: refuted
-                            break
-                    else:
-                        result = self._search(dom_mask | 1 << v, child, nxt)
-        memo[pairs] = result
+    def search(cands: list[int], v: int, state: int) -> tuple[int, ...] | None:
+        # v is the most-constrained unassigned vertex (-1 once none is left), and
+        # every unassigned vertex has a candidate; a list passed down is never changed
+        if v < 0:
+            return tuple(assign)
+        adjacent, mask, result = rows[v], cands[v], None
+        while mask and result is None:
+            low = mask & -mask
+            mask ^= low
+            d = low.bit_length() - 1
+            child = state | d + 1 << v * width
+            if memo is not None and child in memo:
+                result = memo[child]
+                continue
+            assign[v] = d
+            row = rows[d]
+            non = ~(row | low) if iso else ~low if mono else -1
+            nxt, best, least = cands[:], -1, n + 1
+            for x in range(n):
+                if assign[x] < 0:
+                    nxt[x] = m = nxt[x] & (row if adjacent >> x & 1 else non)
+                    if not m:
+                        break  # a vertex without candidates: refuted
+                    c = m.bit_count()
+                    if c < least:
+                        best, least = x, c
+            else:
+                result = search(nxt, best, child)
+            assign[v] = -1
+        if memo is not None:
+            memo[state] = result
         return result
+
+    full, cands, best, least = (1 << n) - 1, [0] * n, -1, n + 1
+    for x in range(n):
+        if assign[x] < 0:
+            cands[x] = m = _step_mask(rows, pairs, x, "extension", kind, full)
+            c = m.bit_count()
+            if c < least:
+                best, least = x, c
+    if least:
+        return search(cands, best, state)
+    if memo is not None:
+        memo[state] = None
+    return None
 
 
 def _component_confinement_note(comps: list[tuple[int, ...]], dom, vals) -> str | None:
@@ -441,7 +373,7 @@ def _first_failures(g: FiniteGraph) -> dict[tuple, tuple[PartialMap, MorphismKin
     Its failing maps are unions of Aut x Aut orbits, so from size two on (Aut is found
     there) it visits only domains lex-least in their Aut-orbit, values as ``group`` keeps.
     """
-    extenders = {y: _YExtender(g, y) for y in _FINITE_Y}
+    memos = {y: {} for y in _FINITE_Y}  # one memo of _extension per step kind
     lowest = dict.fromkeys(_FINITE_Y, MorphismKind.HOMOMORPHISM)  # weakest unsettled x
     floor, failures, group = [MorphismKind.HOMOMORPHISM], {}, []
 
@@ -462,7 +394,8 @@ def _first_failures(g: FiniteGraph) -> dict[tuple, tuple[PartialMap, MorphismKin
             lo = lowest[y]
             if kind < lo:
                 continue
-            if kind < y.required_kind or not extenders[y].extends(dom_mask, pairs):
+            if kind < y.required_kind or _extension(g.rows, pairs, y.required_kind,
+                                                    memos[y]) is None:
                 witness = PartialMap(pairs), kind, dom_mask
                 for x in X_KINDS:
                     if lo <= x <= kind:

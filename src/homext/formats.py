@@ -83,22 +83,24 @@ def from_graph6(s: str) -> FiniteGraph:
         s = s[len(GRAPH6_HEADER) :]
     if not s:
         raise GraphError("empty graph6 string")
-    data = [ord(c) - 63 for c in s]
-    if any(d < 0 or d > 63 for d in data):
+    if min(s) < "?" or max(s) > "~":  # each character carries ord(c) - 63 in 0..63
         raise GraphError(f"invalid graph6 characters in {s!r}")
-    if data[0] == 63:
-        if len(data) < 4:
+    if s[0] == "~":
+        if len(s) < 4:
             raise GraphError("truncated graph6 size")
-        n = data[1] << 12 | data[2] << 6 | data[3]
-        body = data[4:]
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | ord(s[3]) - 63
+        body = s[4:]
     else:
-        n = data[0]
-        body = data[1:]
+        n = ord(s[0]) - 63
+        body = s[1:]
+    if n > _PARSE_CAP:  # checked before the body is decoded
+        raise GraphError(f"vertex count {n} exceeds parser cap {_PARSE_CAP}")
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise GraphError(f"graph6 body length mismatch for n={n}")
     bits = []
-    for d in body:
+    for c in body:
+        d = ord(c) - 63
         bits.extend(d >> shift & 1 for shift in (5, 4, 3, 2, 1, 0))
     if any(bits[nbits:]):
         raise GraphError("nonzero padding bits in graph6 body")

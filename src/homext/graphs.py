@@ -130,8 +130,8 @@ def induced_subgraph(g: FiniteGraph, s: Sequence[int]) -> FiniteGraph:
     """Subgraph induced on the vertex set ``s``; vertex ``i`` of the result is the
     ``i``-th smallest vertex of ``s`` (unordered input is sorted first, see :func:`vertex_set`)."""
     vs = vertex_set(s)
-    if vs and vs[-1] >= g.n:
-        raise GraphError(f"vertex {vs[-1]} out of range for n={g.n}")
+    if vs and not (vs[0] >= 0 and vs[-1] < g.n):
+        raise GraphError(f"vertex {vs[0] if vs[0] < 0 else vs[-1]} out of range for n={g.n}")
     k = len(vs)
     rows = [0] * k
     for i, u in enumerate(vs):

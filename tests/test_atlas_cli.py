@@ -19,6 +19,7 @@ from homext.formats import from_graph6, parse_text, to_graph6
 from homext.generators import complete, independent
 from homext.graphs import GraphError, canonical_form
 
+from test_formats import OVER_CAP_GRAPH6
 from test_graphs import labelled_graphs
 
 
@@ -257,6 +258,11 @@ class TestCli:
         bad = tmp_path / "bad.txt"
         bad.write_text("not a graph\n")
         assert main(["classify", str(bad)]) == 2
+
+    def test_graph6_over_the_parser_cap_on_stdin(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(OVER_CAP_GRAPH6 + "\n"))
+        assert main(["classify", "-"]) == 2
+        assert "exceeds parser cap 4096" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["generate", "k", "abc"],

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from homext.age import PROPERTY_NAMES, check_criterion, check_property, compute_age
 from homext.engine import (
     Status,
-    _YExtender,
     _component_confinement_note,
+    _extension,
     back_and_forth,
     classify_finite,
     decide_xy_bounded,
@@ -483,10 +483,11 @@ class TestExtendFiniteAgainstTotalMaps:
 
 
 class TestExtenderAgainstTotalMaps:
-    """Every answer of the H and A extenders against the restrictions of every
-    total map: each local map of the extender's kind, of every domain size,
-    asked of one extender in (size, domain, values) order and of another in
-    the reverse order, so that the memo is met along different paths."""
+    """Every answer of the memoized search at H and at A against the restrictions
+    of every total map: each local map of the search's kind, of every domain size,
+    asked with one memo in (size, domain, values) order and with another in the
+    reverse order, so that the memo is met along different paths; a total read
+    from the memo must extend the map asked about."""
 
     @staticmethod
     def check(g):
@@ -503,10 +504,14 @@ class TestExtenderAgainstTotalMaps:
         for y in (EndoKind.H, EndoKind.A):
             queries = [(d, p) for d, p, iso in maps if iso or y is EndoKind.H]
             for order in (queries, queries[::-1]):
-                extender = _YExtender(g, y)
+                memo = {}
                 for dom_mask, pairs in order:
                     want = y in extends.get(pairs, ())
-                    assert extender.extends(dom_mask, pairs) == want, (g, pairs, y)
+                    total = _extension(g.rows, pairs, y.required_kind, memo)
+                    assert (total is not None) == want, (g, pairs, y)
+                    if total is not None:
+                        assert all(total[s] == t for s, t in pairs)
+                        assert y in _total_kinds(g, total), (g, pairs, y)
 
     def test_every_labelled_graph_up_to_four_vertices(self):
         for n in range(1, 5):
@@ -521,13 +526,13 @@ class TestExtenderAgainstTotalMaps:
     def test_forward_checking_refutes_where_a_vertex_runs_out(self):
         # 0 -> 1 leaves the neighbours 2 and 6 of 0 only the candidate 6, the
         # one neighbour of 1, so the edge 2 ~ 6 has no image; assigning 2 -> 6
-        # empties 6.  Without forward checking the extender filled 316 memo
-        # entries before refuting the map.
+        # empties 6.  Without forward checking a least-vertex search filled 316
+        # memo entries before refuting the map.
         g = FiniteGraph.from_edges(
             7, [(0, 2), (0, 3), (0, 6), (1, 6), (2, 5), (2, 6), (3, 6), (4, 6)])
-        extender = _YExtender(g, EndoKind.H)
-        assert not extender.extends(1, ((0, 1),))
-        assert len(extender.memo) <= 8
+        memo = {}
+        assert _extension(g.rows, ((0, 1),), MorphismKind.HOMOMORPHISM, memo) is None
+        assert len(memo) <= 8
 
 
 class TestStuckAndNote:

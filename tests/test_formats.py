@@ -65,3 +65,17 @@ class TestGraph6:
     def test_rejects_malformed(self, s):
         with pytest.raises(GraphError):
             from_graph6(s)
+
+    def test_vertex_count_over_the_parser_cap(self):
+        # the text format's cap holds for graph6 too, before the body is decoded
+        with pytest.raises(GraphError, match="5000 exceeds parser cap 4096"):
+            from_graph6(OVER_CAP_GRAPH6)
+
+
+def _edgeless_graph6(n: int) -> str:
+    """The graph6 string of the edgeless graph on ``n`` vertices, ``63 <= n < 2**18``."""
+    return "~" + "".join(chr((n >> s & 0x3F) + 63) for s in (12, 6, 0)) + "?" * (
+        (n * (n - 1) // 2 + 5) // 6)
+
+
+OVER_CAP_GRAPH6 = _edgeless_graph6(5000)

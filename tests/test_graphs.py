@@ -71,6 +71,12 @@ class TestInducedSubgraph:
         with pytest.raises(GraphError):
             induced_subgraph(P3, (0, 3))
 
+    @pytest.mark.parametrize("s", [[-1, 0], [-3], (0, 1, -2)])
+    def test_negative_vertex_raises(self, s):
+        # a negative index would read a row from the end, vertex -1 as vertex n - 1
+        with pytest.raises(GraphError, match=f"vertex {min(s)} out of range"):
+            induced_subgraph(FiniteGraph.from_edges(3, [(0, 2)]), s)
+
     def test_unordered_input_is_sorted_first(self):
         # vertex i of the result is the i-th smallest of s, not s[i]
         g = FiniteGraph.from_edges(3, [(0, 1)])
