@@ -48,8 +48,10 @@ from .graphs import (
     max_independent_set_size,
     oracle_truncate,
 )
-from .engine import DEFAULT_WINDOW, _RANK, Status, Verdict, _check_bounds, _past_truncation
-from .morphisms import MorphismKind, PartialMap, _local_maps, _step_mask, _step_sets, all_subsets
+from .engine import (
+    DEFAULT_WINDOW, _RANK, Status, Verdict, _check_bounds, _past_truncation, total_endo_kinds)
+from .morphisms import (
+    EndoKind, MorphismKind, PartialMap, _local_maps, _step_mask, _step_sets, all_subsets)
 
 EMBEDDING_CAP = 500
 # star and dagger on a finite graph walk at most sum_{s <= min(k, n)} C(n, s) n^s maps
@@ -569,27 +571,23 @@ def complement_endo_transport(
 ) -> tuple[int, ...]:
     """Right inverse of a surjective endomorphism, as an endomorphism of the complement.
 
-    ``total`` must be surjective on ``g`` and ``f`` must assign each of its
-    sources one of that source's preimages under ``total``.  The remaining
-    vertices take their least preimage.  The result is verified edge by edge
-    against the complement before returning.
+    On a finite graph a surjective endomorphism is an automorphism, so its
+    right inverse is its inverse permutation; ``f`` may state some of it, as
+    ``v -> x`` pairs with ``total[x] == v``.  A ``total`` that is not a
+    surjective endomorphism of ``g``, or an ``f`` that leaves the vertex range
+    or disagrees with the inverse, raises :class:`GraphError`.  The result is
+    verified edge by edge against the complement before returning.
     """
-    n = g.n
-    if len(total) != n:
-        raise GraphError("total map must assign every vertex")
-    preimages: dict[int, list[int]] = {v: [] for v in range(n)}
+    if EndoKind.E not in total_endo_kinds(g, total):  # raises on a short or out-of-range map
+        raise GraphError("map is not a surjective endomorphism")
+    out = [0] * g.n
     for x, v in enumerate(total):
-        preimages[v].append(x)
-    if any(not p for p in preimages.values()):
-        raise GraphError("map is not surjective")
-    inverse = {v: min(p) for v, p in preimages.items()}
+        out[v] = x
     for v, x in f.pairs:
-        if x not in preimages[v]:
+        if not (0 <= v < g.n and out[v] == x):
             raise GraphError(f"assignment {v}->{x} is not a preimage under the map")
-        inverse[v] = x
-    out = tuple(inverse[v] for v in range(n))
     comp = complement(g)
     for u, v in comp.edges():
         if not comp.adj(out[u], out[v]):
             raise AssertionError("right inverse failed to preserve complement edges")
-    return out
+    return tuple(out)

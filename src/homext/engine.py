@@ -6,30 +6,30 @@ a finite graph an injective or surjective endomorphism is bijective, and a
 bijective homomorphism maps the finitely many edges onto the edges, so it is
 an automorphism: I = M = E = B = A as extension targets.  One loop per graph
 over the stream of local maps (with their kinds, in (size, domain, values)
-order) asks the extension search at step kinds H and A (one memo each) about
-them, and stops once the first failure of each of the six (X, H or A) pairs
-is known.  Since f extends to kind Y exactly when a f b^-1 does, for
-automorphisms a and b, each first failure is least in its Aut x Aut orbit,
-so from size two on the loop reads only lex-least domains of Aut-orbits and
-values least under the automorphisms fixing the ones before them (McKay's
-canonical augmentation); Aut comes from the same kernel.  The 18 verdicts
-are read off those: every entry starts as HOLDS, and each distinct failure
-fills the entries it stands for (H's: Y = H; A's: I, M, E, B, A) with one
-stuck vertex per step kind and one component note for the surjective Ys.
-The same search, without a memo, answers :func:`extend_finite`.  It checks
-forward: each unassigned vertex carries its candidate mask, every assignment
-narrows them, a branch that empties one is refuted before it is entered, and
-the most-constrained vertex is assigned next.  For oracle graphs a sweep
-starts a back-and-forth schedule from each map of the same stream on the
-window's rows.  A schedule reads the bitset rows of one truncation, so a
-malformed (asymmetric or reflexive) oracle raises GraphError; a sweep runs
-each (map, step index) state once, and builds traces only for the certified
-witnesses it keeps.  Past the truncation the schedule asks the generator's
-declared structure for complete candidate lists only (the list half of the
-helper shared with the age layer), and the predicate only about the listed
-vertices.  A negative verdict is definite only when the stuck step's
-candidates are confined to such a list and every one fails, otherwise it is
-UnknownAtBound.
+order) asks the extension search at step kinds H and A about them, yields
+each distinct first failure of the six (X, H or A) pairs once, and stops
+once all six are known.  Since f extends to kind Y exactly when a f b^-1
+does, for automorphisms a and b, each first failure is least in its
+Aut x Aut orbit, so from size two on the loop reads only lex-least domains
+of Aut-orbits and values least under the automorphisms fixing the ones
+before them (McKay's canonical augmentation); Aut comes from the same
+kernel.  The 18 verdicts are read off those: every entry starts as HOLDS,
+and each failure fills the entries it stands for (H's: Y = H; A's: I, M,
+E, B, A) with one stuck vertex per step kind and one component note for
+the surjective Ys.  The same search, which keeps nothing between queries,
+answers :func:`extend_finite`.  It checks forward: each unassigned vertex
+carries its candidate mask, every assignment narrows them, a branch that
+empties one is refuted before it is entered, and the most-constrained
+vertex is assigned next.  For oracle graphs a sweep starts a back-and-forth
+schedule from each map of the same stream on the window's rows.  A schedule
+reads the bitset rows of one truncation, so a malformed (asymmetric or
+reflexive) oracle raises GraphError; a sweep runs each (map, step index)
+state once, and builds traces only for the certified witnesses it keeps.
+Past the truncation the schedule asks the generator's declared structure
+for complete candidate lists only (the list half of the helper shared with
+the age layer), and the predicate only about the listed vertices.  A
+negative verdict is definite only when the stuck step's candidates are
+confined to such a list and every one fails, otherwise it is UnknownAtBound.
 """
 
 from __future__ import annotations
@@ -222,9 +222,9 @@ def extend_finite(g: FiniteGraph, f: PartialMap, y: EndoKind) -> tuple[int, ...]
 
     E, B and A all search as A (a surjective endomorphism of a finite graph
     is an automorphism), so no surjectivity prune is needed.  The search is
-    :func:`_extension` without a memo: the most-constrained unassigned vertex
-    first, candidate values in ascending order.  ``None`` is an absence proof
-    by exhaustion.
+    :func:`_extension`, the one the exact pass asks: the most-constrained
+    unassigned vertex first, candidate values in ascending order.  ``None`` is
+    an absence proof by exhaustion.
     """
     n = _finite(g).n
     kind = MorphismKind.ISOMORPHISM if y.needs_surjective else y.required_kind
@@ -249,8 +249,7 @@ def total_endo_kinds(g: FiniteGraph, total: Iterable[int]) -> set[EndoKind]:
     }
 
 
-def _extension(rows, pairs, kind: MorphismKind,
-               memo: dict | None = None) -> tuple[int, ...] | None:
+def _extension(rows, pairs, kind: MorphismKind) -> tuple[int, ...] | None:
     """A total map extending ``pairs`` (of kind ``kind``) whose every restriction has kind
     ``kind``, as its tuple of images, or ``None`` when there is none.
 
@@ -260,35 +259,25 @@ def _extension(rows, pairs, kind: MorphismKind,
     ``& rows[d]``; the non-neighbours ``& ~(1 << d)`` at MONOMORPHISM and
     ``& ~(rows[d] | 1 << d)`` at ISOMORPHISM).  A branch that leaves some vertex without
     a candidate is refuted before it is entered.  The narrowing pass also picks the next
-    vertex: the most-constrained one, the least on ties; values go in ascending order.
-    The masks, and so the vertex order, depend on the map alone, so one search never
-    meets a map twice, and a ``memo`` shared across searches maps each map reached,
-    packed into one integer as in :func:`_schedule`, to its answer (a total or ``None``).
+    vertex: the most-constrained one, the least on ties; values go in ascending order,
+    and the first total found is returned.
     """
-    n, width = len(rows), len(rows).bit_length()
-    assign, state = [-1] * n, 0
+    n = len(rows)
+    assign = [-1] * n
     for u, fu in pairs:
         assign[u] = fu
-        state |= fu + 1 << u * width
-    if memo is not None and state in memo:
-        return memo[state]
     iso, mono = kind is MorphismKind.ISOMORPHISM, kind >= MorphismKind.MONOMORPHISM
 
-    def search(cands: list[int], v: int, state: int) -> tuple[int, ...] | None:
+    def search(cands: list[int], v: int) -> tuple[int, ...] | None:
         # v is the most-constrained unassigned vertex (-1 once none is left), and
         # every unassigned vertex has a candidate; a list passed down is never changed
         if v < 0:
             return tuple(assign)
-        adjacent, mask, result = rows[v], cands[v], None
-        while mask and result is None:
+        adjacent, mask = rows[v], cands[v]
+        while mask:
             low = mask & -mask
             mask ^= low
-            d = low.bit_length() - 1
-            child = state | d + 1 << v * width
-            if memo is not None and child in memo:
-                result = memo[child]
-                continue
-            assign[v] = d
+            assign[v] = d = low.bit_length() - 1
             row = rows[d]
             non = ~(row | low) if iso else ~low if mono else -1
             nxt, best, least = cands[:], -1, n + 1
@@ -301,11 +290,11 @@ def _extension(rows, pairs, kind: MorphismKind,
                     if c < least:
                         best, least = x, c
             else:
-                result = search(nxt, best, child)
-            assign[v] = -1
-        if memo is not None:
-            memo[state] = result
-        return result
+                total = search(nxt, best)
+                if total is not None:
+                    return total
+        assign[v] = -1
+        return None
 
     full, cands, best, least = (1 << n) - 1, [0] * n, -1, n + 1
     for x in range(n):
@@ -314,11 +303,7 @@ def _extension(rows, pairs, kind: MorphismKind,
             c = m.bit_count()
             if c < least:
                 best, least = x, c
-    if least:
-        return search(cands, best, state)
-    if memo is not None:
-        memo[state] = None
-    return None
+    return search(cands, best) if least else None
 
 
 def _component_confinement_note(comps: list[tuple[int, ...]], dom, vals) -> str | None:
@@ -361,21 +346,22 @@ def _automorphisms(g: FiniteGraph) -> list[tuple[int, ...]]:
     return [tuple(d for _, d in f) for f in maps]
 
 
-def _first_failures(g: FiniteGraph) -> dict[tuple, tuple[PartialMap, MorphismKind, int]]:
-    """The first non-extendable local morphism of kind at least ``x``, with its
-    kind and domain mask, per ``x`` and ``y`` in H and A; a missing pair holds.
+def _first_failures(g: FiniteGraph) -> Iterator[tuple]:
+    """Each distinct first failure once, as ``(y, xs, witness, kind, domain mask)``, for
+    ``y`` in H and A: the first non-extendable local morphism of kind at least ``x``, for
+    each ``x`` of ``xs``; a pair never yielded holds.
 
     One loop over the :func:`~homext.morphisms._local_maps` stream, whose
     floor is the weakest ``x`` not yet settled for some ``y``; the loop stops
     once all six pairs are settled.  A map below ``y``'s required kind (a
-    non-isomorphism for A) fails without a query.
+    non-isomorphism for A) fails without a query; every other map is one
+    :func:`_extension` search at that kind.
 
     Its failing maps are unions of Aut x Aut orbits, so from size two on (Aut is found
     there) it visits only domains lex-least in their Aut-orbit, values as ``group`` keeps.
     """
-    memos = {y: {} for y in _FINITE_Y}  # one memo of _extension per step kind
     lowest = dict.fromkeys(_FINITE_Y, MorphismKind.HOMOMORPHISM)  # weakest unsettled x
-    floor, failures, group = [MorphismKind.HOMOMORPHISM], {}, []
+    floor, group = [MorphismKind.HOMOMORPHISM], []
 
     def domains():
         yield from combinations(range(g.n), 1)
@@ -394,24 +380,19 @@ def _first_failures(g: FiniteGraph) -> dict[tuple, tuple[PartialMap, MorphismKin
             lo = lowest[y]
             if kind < lo:
                 continue
-            if kind < y.required_kind or _extension(g.rows, pairs, y.required_kind,
-                                                    memos[y]) is None:
-                witness = PartialMap(pairs), kind, dom_mask
-                for x in X_KINDS:
-                    if lo <= x <= kind:
-                        failures[(x, y)] = witness
+            if kind < y.required_kind or _extension(g.rows, pairs, y.required_kind) is None:
+                yield y, [x for x in X_KINDS if lo <= x <= kind], PartialMap(pairs), kind, dom_mask
                 lowest[y] = kind + 1
                 floor[0] = min(lowest.values())
                 if floor[0] > MorphismKind.ISOMORPHISM:
-                    return failures
-    return failures
+                    return
 
 
 @lru_cache(maxsize=4096)
 def _classified(g: FiniteGraph) -> MembershipVector:
-    """The 18 verdicts read off the at most six failures of one :func:`_first_failures`
-    pass.  Every entry starts as HOLDS, and each distinct failure is handled once
-    for all the ``x`` sharing it: H's stands for Y = H, A's for I, M, E, B and A (the
+    """The 18 verdicts read off the at most six distinct failures of one
+    :func:`_first_failures` pass.  Every entry starts as HOLDS, and each failure fills
+    the entries of all its ``xs``: H's stands for Y = H, A's for I, M, E, B and A (the
     finite identity).  It computes one ``stuck`` per step kind (the least vertex
     outside its domain mask whose step at that kind has no candidate) and one
     component note for its surjective Ys, from components computed at most once per
@@ -419,36 +400,32 @@ def _classified(g: FiniteGraph) -> MembershipVector:
     """
     rows, full = g.rows, (1 << g.n) - 1
     entries = dict.fromkeys(_XY_KEYS, _HOLDS)
-    comps, last, shared = None, None, {}  # shared maps (pairs, stuck, note) to a verdict
-    for (x, finite_y), failure in _first_failures(g).items():
-        if failure is not last:  # the xs sharing a failure come one after another
-            last, (w, w_kind, dom_mask) = failure, failure
-            note = None
-            if finite_y is EndoKind.A:
-                comps = comps or connected_components(g)
-                note = _component_confinement_note(comps, w.domain, w.values)
-            kinds, ys = _STANDS_FOR[finite_y]
-            # strongest kind first: a vertex with a candidate at one kind has one at
-            # every weaker kind, so each search resumes at the previous stuck vertex
-            stucks, free = {}, full & ~dom_mask
-            for kind in kinds:
-                stucks[kind] = None
-                if w_kind >= kind:
-                    while free:
-                        c = (free & -free).bit_length() - 1
-                        if not _step_mask(rows, w.pairs, c, "extension", kind, full):
-                            stucks[kind] = c
-                            break
-                        free ^= 1 << c
-            verdicts = []
-            for y, kind, surj in ys:
-                key = w.pairs, stucks[kind], note if surj else None
-                v = shared.get(key)
-                if v is None:
-                    v = shared[key] = Verdict(Status.FAILS, witness=w, stuck=key[1], note=key[2])
-                verdicts.append((y, v))
-        for y, v in verdicts:
-            entries[x, y] = v
+    comps, shared = None, {}  # shared maps (pairs, stuck, note) to a verdict
+    for finite_y, xs, w, w_kind, dom_mask in _first_failures(g):
+        note = None
+        if finite_y is EndoKind.A:
+            comps = comps or connected_components(g)
+            note = _component_confinement_note(comps, w.domain, w.values)
+        kinds, ys = _STANDS_FOR[finite_y]
+        # strongest kind first: a vertex with a candidate at one kind has one at
+        # every weaker kind, so each search resumes at the previous stuck vertex
+        stucks, free = {}, full & ~dom_mask
+        for kind in kinds:
+            stucks[kind] = None
+            if w_kind >= kind:
+                while free:
+                    c = (free & -free).bit_length() - 1
+                    if not _step_mask(rows, w.pairs, c, "extension", kind, full):
+                        stucks[kind] = c
+                        break
+                    free ^= 1 << c
+        for y, kind, surj in ys:
+            key = w.pairs, stucks[kind], note if surj else None
+            v = shared.get(key)
+            if v is None:
+                v = shared[key] = Verdict(Status.FAILS, witness=w, stuck=key[1], note=key[2])
+            for x in xs:
+                entries[x, y] = v
     return MembershipVector(MappingProxyType(entries))
 
 

@@ -146,12 +146,14 @@ def classify_map(g, f: PartialMap) -> MorphismKind:
     """Classify ``f`` within the ambient graph ``g`` (finite or oracle).
 
     Homomorphism: edges map to edges.  Monomorphism: additionally injective.
-    Isomorphism: additionally nonedges map to nonedges.
+    Isomorphism: additionally nonedges map to nonedges.  A vertex outside
+    the graph (negative, or past a finite graph's size) raises GraphError.
     """
-    if isinstance(g, FiniteGraph):
-        for s, t in f.pairs:
-            if not (0 <= s < g.n and 0 <= t < g.n):
-                raise GraphError(f"map vertex pair ({s}, {t}) out of range for n={g.n}")
+    n = g.n if isinstance(g, FiniteGraph) else None
+    for s, t in f.pairs:
+        if s < 0 or t < 0 or n is not None and (s >= n or t >= n):
+            where = "" if n is None else f" for n={n}"
+            raise GraphError(f"map vertex pair ({s}, {t}) out of range{where}")
     pairs = f.pairs
     hom = True
     iso = True

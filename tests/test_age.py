@@ -551,8 +551,22 @@ class TestComplementTransport:
         assert out[0] == 1
 
     def test_incompatible_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(GraphError, match="not a preimage"):
             complement_endo_transport(independent(3), (1, 0, 2), PartialMap(((0, 2),)))
+
+    @pytest.mark.parametrize("total, f, message", [
+        ((0, 1, 5), PartialMap(()), r"\(2, 5\) out of range"),
+        ((0, 1), PartialMap(()), "must assign every vertex"),
+        ((1, 0, 2), PartialMap(((7, 0),)), "not a surjective endomorphism"),
+        ((1, 0, 2), PartialMap(()), "not a surjective endomorphism"),  # 1 ~ 2 goes to 0, 2
+        ((0, 0, 0), PartialMap(()), "not a surjective endomorphism"),
+        ((2, 1, 0), PartialMap(((7, 0),)), "not a preimage"),  # a source out of range
+        ((2, 1, 0), PartialMap(((0, 1),)), "not a preimage"),  # 0 is the preimage of 2
+    ], ids=["value-out-of-range", "too-short", "not-endo-with-f", "not-endo", "not-surjective",
+            "f-out-of-range", "f-disagrees"])
+    def test_rejected_on_the_path(self, total, f, message):
+        with pytest.raises(GraphError, match=message):
+            complement_endo_transport(P3, total, f)
 
     def test_enumerated_surjections_transport(self, corpus4):
         for _, g in corpus4:
@@ -567,3 +581,14 @@ class TestComplementTransport:
                 comp = complement(g)
                 for u, v in comp.edges():
                     assert comp.adj(out[u], out[v])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: compute_age(rs_graph(3), 2), "needs a horizon"),
+    (lambda: compute_age("x", 2), "unsupported source"),
+    (lambda: check_property(P3, "nope", 2), "unknown property 'nope'"),
+    (lambda: check_property(P3, "star", 0), "must be at least 1, got 0"),
+], ids=["oracle-age-without-horizon", "age-of-a-string", "unknown-property", "property-k0"])
+def test_rejects_a_bad_request(call, message):
+    with pytest.raises(GraphError, match=message):
+        call()

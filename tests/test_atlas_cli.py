@@ -367,3 +367,22 @@ class TestCli:
         claims.write_text(line + "\n")
         assert main(["verify-poset", str(claims)]) == code
         assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_enumeration_rejects_a_size_below_one(n):
+    with pytest.raises(GraphError, match=f"size must be positive, got {n}"):
+        graphs_of_size(n)
+
+
+def test_classify_oracle_needs_bounded(capsys):
+    assert main(["classify", "--gen", "rs", "3"]) == 2
+    assert "pass --bounded" in capsys.readouterr().err
+
+
+def test_atlas_to_stdout(capsys):
+    assert main(["atlas", "--max-n", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert json.loads(lines[0]) == {"schema": "homext-atlas/1"}
+    assert [json.loads(line)["id"] for line in lines[1:]] == ["n1g000", "n2g000", "n2g001"]
+    assert read_atlas(lines) == list(atlas_records(2))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -483,35 +484,28 @@ class TestExtendFiniteAgainstTotalMaps:
 
 
 class TestExtenderAgainstTotalMaps:
-    """Every answer of the memoized search at H and at A against the restrictions
+    """Every answer of the extension search at H and at A against the restrictions
     of every total map: each local map of the search's kind, of every domain size,
-    asked with one memo in (size, domain, values) order and with another in the
-    reverse order, so that the memo is met along different paths; a total read
-    from the memo must extend the map asked about."""
+    asked once; a total it returns must extend the map asked about."""
 
     @staticmethod
     def check(g):
         n = g.n
         extends = _extends_table(g)
-        maps = []
         for size in range(1, n + 1):
             for dom in itertools.combinations(range(n), size):
                 for vals in itertools.product(range(n), repeat=size):
                     pairs = tuple(zip(dom, vals))
                     hom, injective, reflecting = _map_properties(g, pairs)
-                    if hom:
-                        maps.append((sum(1 << u for u in dom), pairs, injective and reflecting))
-        for y in (EndoKind.H, EndoKind.A):
-            queries = [(d, p) for d, p, iso in maps if iso or y is EndoKind.H]
-            for order in (queries, queries[::-1]):
-                memo = {}
-                for dom_mask, pairs in order:
-                    want = y in extends.get(pairs, ())
-                    total = _extension(g.rows, pairs, y.required_kind, memo)
-                    assert (total is not None) == want, (g, pairs, y)
-                    if total is not None:
-                        assert all(total[s] == t for s, t in pairs)
-                        assert y in _total_kinds(g, total), (g, pairs, y)
+                    for y in (EndoKind.H, EndoKind.A) if hom else ():
+                        if y is EndoKind.A and not (injective and reflecting):
+                            continue
+                        want = y in extends.get(pairs, ())
+                        total = _extension(g.rows, pairs, y.required_kind)
+                        assert (total is not None) == want, (g, pairs, y)
+                        if total is not None:
+                            assert all(total[s] == t for s, t in pairs)
+                            assert y in _total_kinds(g, total), (g, pairs, y)
 
     def test_every_labelled_graph_up_to_four_vertices(self):
         for n in range(1, 5):
@@ -526,13 +520,24 @@ class TestExtenderAgainstTotalMaps:
     def test_forward_checking_refutes_where_a_vertex_runs_out(self):
         # 0 -> 1 leaves the neighbours 2 and 6 of 0 only the candidate 6, the
         # one neighbour of 1, so the edge 2 ~ 6 has no image; assigning 2 -> 6
-        # empties 6.  Without forward checking a least-vertex search filled 316
-        # memo entries before refuting the map.
+        # empties 6, so the search refutes every value of its first vertex without
+        # entering one.  Without forward checking a least-vertex search reached
+        # 316 maps before refuting the map.
         g = FiniteGraph.from_edges(
             7, [(0, 2), (0, 3), (0, 6), (1, 6), (2, 5), (2, 6), (3, 6), (4, 6)])
-        memo = {}
-        assert _extension(g.rows, ((0, 1),), MorphismKind.HOMOMORPHISM, memo) is None
-        assert len(memo) <= 8
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "search":
+                calls.append(frame.f_code)
+
+        sys.setprofile(count)
+        try:
+            total = _extension(g.rows, ((0, 1),), MorphismKind.HOMOMORPHISM)
+        finally:
+            sys.setprofile(None)
+        assert total is None
+        assert len(calls) == 1
 
 
 class TestStuckAndNote:
@@ -825,3 +830,14 @@ class TestDecideBounded:
         # placing a low vertex on a high one strands the remaining low vertices
         v = decide_xy_bounded(rs_graph(3), I, EndoKind.I, k=2, horizon=40, window=5)
         assert v.fails and v.certificate and "confined" in v.certificate
+
+
+@pytest.mark.parametrize("call, message", [
+    # 0 -> 0 and 2 -> 0 is a homomorphism of P3, not a monomorphism
+    (lambda: one_step_extension(P3, PartialMap(((0, 0), (2, 0))), 1, M),
+     "below the requested kind"),
+    (lambda: total_endo_kinds(P3, (0, 1)), "must assign every vertex"),
+], ids=["one-step-below-kind", "total-too-short"])
+def test_rejects_a_map_that_does_not_fit(call, message):
+    with pytest.raises(GraphError, match=message):
+        call()

@@ -79,3 +79,13 @@ def _edgeless_graph6(n: int) -> str:
 
 
 OVER_CAP_GRAPH6 = _edgeless_graph6(5000)
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (parse_text, "5000 0\n", "exceeds parser cap 4096"),
+    (from_graph6, "A`", "nonzero padding"),  # one edge bit, then padding 00001
+    (from_graph6, "Bx", "nonzero padding"),  # three edge bits, then padding 001
+], ids=["text-over-cap", "graph6-pad-n2", "graph6-pad-n3"])
+def test_rejects_the_cap_and_nonzero_padding(read, text, message):
+    with pytest.raises(GraphError, match=message):
+        read(text)

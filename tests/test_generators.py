@@ -317,3 +317,14 @@ class TestDispatch:
     def test_unknown(self):
         with pytest.raises(GraphError):
             generate("mystery", [])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: composite(-1, 2), "bad composite parameter -1"),
+    (lambda: rado_plus_dominating(1), "requires n >= 2"),
+    (lambda: knfree_generic(2, 5), "requires n >= 3"),
+    (lambda: knfree_generic(3, 0), "must be positive"),
+], ids=["composite", "radoplus", "knfree-n", "knfree-size"])
+def test_rejects_a_parameter_out_of_range(build, message):
+    with pytest.raises(GraphError, match=message):
+        build()

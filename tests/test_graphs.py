@@ -298,3 +298,12 @@ class TestTruncationMemo:
         assert repr(o) == before
         assert "FiniteGraph" not in before
         assert o == dataclasses.replace(o)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FiniteGraph.from_edges(-1, []), "negative vertex count -1"),
+    (lambda: oracle_truncate(rs_graph(3), -1), "negative truncation size -1"),
+], ids=["from-edges", "oracle-truncate"])
+def test_rejects_a_negative_size(build, message):
+    with pytest.raises(GraphError, match=message):
+        build()

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homext.generators import complete, independent
+from homext.generators import OMEGA, complete, composite, independent, rado_bit, rs_graph
 from homext.graphs import GraphError
 from homext.morphisms import (
     EndoKind,
@@ -71,6 +71,15 @@ class TestClassifyMap:
     def test_out_of_range(self):
         with pytest.raises(GraphError):
             classify_map(K2, PartialMap(((0, 5),)))
+
+    @pytest.mark.parametrize("g", [P3, rado_bit(), composite(OMEGA, OMEGA), rs_graph(3)],
+                             ids=["P3", "rado", "comp-omega-omega", "rs3"])
+    def test_negative_vertex_rejected_on_every_graph(self, g):
+        # an oracle predicate never sees it: rado's shift and the composite's
+        # isqrt raised ValueError, and rs_graph(3) called the map a monomorphism
+        f = PartialMap.parse("0->-1,1->3")
+        with pytest.raises(GraphError, match=r"\(0, -1\) out of range"):
+            classify_map(g, f)
 
     @given(finite_graphs(max_n=5))
     def test_iso_symmetric_on_pair_maps(self, g):
@@ -201,3 +210,9 @@ class TestEndoKind:
         assert set(EndoKind.A.implies()) == {EndoKind.I, EndoKind.B, EndoKind.E}
         assert set(EndoKind.B.implies()) == {EndoKind.M, EndoKind.E}
         assert EndoKind.M.implies() == (EndoKind.H,)
+
+
+@pytest.mark.parametrize("text", ["0->1,x", "0->1,1->2->3", "a->1"])
+def test_parse_rejects_a_bad_chunk(text):
+    with pytest.raises(GraphError, match="bad map chunk"):
+        PartialMap.parse(text)
