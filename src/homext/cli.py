@@ -4,12 +4,14 @@ Subcommands: ``generate`` (emit a named family), ``classify`` (18-class
 membership table), ``atlas`` (JSONL corpus classification), ``verify-poset``
 (claims file), ``age`` (age report with cone/co-cone flags), ``check``
 (single property or criterion).  Exit codes: 0 success, 1 claim or check
-failure, 2 input error.
+failure, 2 input error or an output closed before it was all written (as
+``homext atlas --max-n 4 | head -1`` does).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -234,9 +236,18 @@ def main(argv: list[str] | None = None) -> int:
         "check": _cmd_check,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered goes to devnull, so that the
+        # flush at exit cannot raise again (the idiom of the ``signal`` docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
 
 

@@ -16,8 +16,12 @@ before them (McKay's canonical augmentation); Aut comes from the same
 kernel.  The 18 verdicts are read off those: every entry starts as HOLDS,
 and each failure fills the entries it stands for (H's: Y = H; A's: I, M,
 E, B, A) with one stuck vertex per step kind and one component note for
-the surjective Ys.  The same search, which keeps nothing between queries,
-answers :func:`extend_finite`.  It checks forward: each unassigned vertex
+the surjective Ys.  End(G) holds the identity and every total a search
+returns, so the pass first asks a bit-sliced index of those (kept for the
+pass only, see :class:`_Totals`): a restriction of one of them (of an
+automorphism among them, for A) extends, and no search runs.
+:func:`extend_finite` asks the search directly, and the search itself keeps
+nothing between queries.  It checks forward: each unassigned vertex
 carries its candidate mask, every assignment narrows them, a branch that
 empties one is refuted before it is entered, and the most-constrained
 vertex is assigned next.  For oracle graphs a sweep starts a back-and-forth
@@ -346,6 +350,34 @@ def _automorphisms(g: FiniteGraph) -> list[tuple[int, ...]]:
     return [tuple(d for _, d in f) for f in maps]
 
 
+class _Totals:
+    """Total endomorphisms of an ``n``-vertex graph, bit-sliced: bit ``i`` of
+    ``at[u * n + d]`` is set when total ``i`` sends ``u`` to ``d``, and of ``auts`` when
+    total ``i`` is a permutation (an automorphism, by the finite identity).  The
+    identity is total 0.  :meth:`extends` costs one AND per pair, however many are held."""
+
+    __slots__ = ("n", "at", "auts", "held")
+
+    def __init__(self, n: int):
+        self.n, self.at, self.auts, self.held = n, [0] * (n * n), 0, 0
+        self.add(range(n))
+
+    def add(self, total) -> None:
+        bit, n = 1 << self.held.bit_length(), self.n
+        self.held |= bit
+        for u, d in enumerate(total):
+            self.at[u * n + d] |= bit
+        if len(set(total)) == n:
+            self.auts |= bit
+
+    def extends(self, pairs, auts_only: bool) -> bool:
+        """Does a held total (a held automorphism when ``auts_only``) restrict to ``pairs``?"""
+        some, at, n = self.auts if auts_only else self.held, self.at, self.n
+        for u, d in pairs:
+            some &= at[u * n + d]
+        return some != 0
+
+
 def _first_failures(g: FiniteGraph) -> Iterator[tuple]:
     """Each distinct first failure once, as ``(y, xs, witness, kind, domain mask)``, for
     ``y`` in H and A: the first non-extendable local morphism of kind at least ``x``, for
@@ -354,14 +386,17 @@ def _first_failures(g: FiniteGraph) -> Iterator[tuple]:
     One loop over the :func:`~homext.morphisms._local_maps` stream, whose
     floor is the weakest ``x`` not yet settled for some ``y``; the loop stops
     once all six pairs are settled.  A map below ``y``'s required kind (a
-    non-isomorphism for A) fails without a query; every other map is one
-    :func:`_extension` search at that kind.
+    non-isomorphism for A) fails without a query.  Every other map is first asked of
+    the :class:`_Totals` the pass has found, the identity and each total a search
+    returned (only the permutations for A): a restriction of one extends, so no search
+    runs.  Otherwise it is one :func:`_extension` search at that kind, whose total joins
+    them; the index is dropped with the pass.
 
     Its failing maps are unions of Aut x Aut orbits, so from size two on (Aut is found
     there) it visits only domains lex-least in their Aut-orbit, values as ``group`` keeps.
     """
     lowest = dict.fromkeys(_FINITE_Y, MorphismKind.HOMOMORPHISM)  # weakest unsettled x
-    floor, group = [MorphismKind.HOMOMORPHISM], []
+    floor, group, totals = [MorphismKind.HOMOMORPHISM], [], _Totals(g.n)
 
     def domains():
         yield from combinations(range(g.n), 1)
@@ -380,12 +415,18 @@ def _first_failures(g: FiniteGraph) -> Iterator[tuple]:
             lo = lowest[y]
             if kind < lo:
                 continue
-            if kind < y.required_kind or _extension(g.rows, pairs, y.required_kind) is None:
-                yield y, [x for x in X_KINDS if lo <= x <= kind], PartialMap(pairs), kind, dom_mask
-                lowest[y] = kind + 1
-                floor[0] = min(lowest.values())
-                if floor[0] > MorphismKind.ISOMORPHISM:
-                    return
+            if kind >= y.required_kind:
+                if totals.extends(pairs, y is EndoKind.A):
+                    continue
+                total = _extension(g.rows, pairs, y.required_kind)
+                if total is not None:
+                    totals.add(total)
+                    continue
+            yield y, [x for x in X_KINDS if lo <= x <= kind], PartialMap(pairs), kind, dom_mask
+            lowest[y] = kind + 1
+            floor[0] = min(lowest.values())
+            if floor[0] > MorphismKind.ISOMORPHISM:
+                return
 
 
 @lru_cache(maxsize=4096)

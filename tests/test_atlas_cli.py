@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -386,3 +387,38 @@ def test_atlas_to_stdout(capsys):
     assert json.loads(lines[0]) == {"schema": "homext-atlas/1"}
     assert [json.loads(line)["id"] for line in lines[1:]] == ["n1g000", "n2g000", "n2g001"]
     assert read_atlas(lines) == list(atlas_records(2))
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout over the descriptor ``fd`` whose reader has gone: the first ``write``
+    raises, or with ``buffered`` (output that fits the buffer) only the flush."""
+
+    def __init__(self, fd, buffered):
+        self.fd, self.buffered = fd, buffered
+
+    def write(self, text):
+        if not self.buffered:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.buffered:
+            self.buffered = False  # the buffer is dropped with the error
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("argv", [["atlas", "--max-n", "2"], ["generate", "k", "3"]])
+def test_output_into_a_closed_pipe(argv, buffered, tmp_path, capsys, monkeypatch):
+    # the exit code of an input error, no traceback, and the descriptor then
+    # points at devnull, so the flush at exit writes nowhere and cannot raise
+    sink = tmp_path / "sink"
+    with open(sink, "wb") as f:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(f.fileno(), buffered))
+        assert main(argv) == 2
+        os.write(f.fileno(), b"after the pipe closed")
+    assert sink.read_bytes() == b""
+    assert capsys.readouterr().err == ""

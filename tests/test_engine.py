@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from homext.age import PROPERTY_NAMES, check_criterion, check_property, compute_age
 from homext.engine import (
     Status,
+    _Totals,
     _component_confinement_note,
     _extension,
     back_and_forth,
@@ -538,6 +539,54 @@ class TestExtenderAgainstTotalMaps:
             sys.setprofile(None)
         assert total is None
         assert len(calls) == 1
+
+
+class TestTotalsIndex:
+    """The exact pass's bit-sliced index of the totals it has found, against a plain
+    scan of the held totals: the identity, then each total added."""
+
+    @staticmethod
+    def scan(held, n, pairs, auts_only):
+        return any(all(t[u] == d for u, d in pairs) and (not auts_only or len(set(t)) == n)
+                   for t in held)
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_against_a_scan_of_the_held_totals(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        vertex = st.integers(0, n - 1)
+        totals = st.one_of(st.permutations(range(n)).map(tuple), st.tuples(*[vertex] * n))
+        held = [tuple(range(n)), *data.draw(st.lists(totals, max_size=8), label="added")]
+        index = _Totals(n)
+        for t in held[1:]:
+            index.add(t)
+        for _ in range(8):
+            # a restriction of a held total, with one value redrawn half the time
+            t = data.draw(st.sampled_from(held))
+            dom = sorted(data.draw(st.sets(vertex, max_size=n)))
+            pairs = [(u, t[u]) for u in dom]
+            if pairs and data.draw(st.booleans()):
+                i = data.draw(st.integers(0, len(pairs) - 1))
+                pairs[i] = pairs[i][0], data.draw(vertex)
+            for auts_only in (False, True):
+                assert index.extends(pairs, auts_only) == self.scan(held, n, pairs, auts_only), (
+                    held, pairs, auts_only)
+
+    def test_the_identity_is_held_from_the_start(self):
+        index = _Totals(4)
+        for auts_only in (False, True):
+            assert index.extends((), auts_only)
+            assert index.extends(((0, 0), (2, 2), (3, 3)), auts_only)
+            assert not index.extends(((0, 0), (2, 3)), auts_only)
+
+    def test_a_total_that_is_not_a_permutation_answers_for_h_only(self):
+        index = _Totals(3)
+        index.add((1, 0, 0))
+        assert index.extends(((0, 1), (2, 0)), False)
+        assert not index.extends(((0, 1), (2, 0)), True)
+        index.add((1, 0, 2))
+        assert index.extends(((0, 1),), True)
+        assert not index.extends(((0, 1), (2, 0)), True)
 
 
 class TestStuckAndNote:
